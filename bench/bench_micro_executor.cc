@@ -108,16 +108,18 @@ void BM_ExecMorsel(benchmark::State& state) {
   ParamMap bound = prep.params;
   MorselOptions mopts;
   mopts.threads = static_cast<int>(state.range(0));
+  // The worker threads beyond the caller, started once like an engine's.
+  WorkerPool pool(mopts.threads - 1);
   // Pass the pipeline plan cached in the Prepared so the loop measures
   // only the runtime, not the (Prepare-time) decomposition.
   const PipelinePlan* pplan = prep.exec_pipelines.get();
   for (auto _ : state) {
-    MorselExecutor ex(&g, mopts);
+    MorselExecutor ex(&g, mopts, nullptr, &pool);
     ex.set_params(&bound);
     auto r = ex.Execute(prep.physical, pplan);
     benchmark::DoNotOptimize(r.NumRows());
   }
-  MorselExecutor ex(&g, mopts);
+  MorselExecutor ex(&g, mopts, nullptr, &pool);
   ex.set_params(&bound);
   state.counters["rows"] =
       static_cast<double>(ex.Execute(prep.physical, pplan).NumRows());
@@ -211,14 +213,15 @@ void BM_ExecPartitioned(benchmark::State& state) {
   ParamMap bound = prep.params;
   MorselOptions mopts;
   mopts.threads = static_cast<int>(state.range(1));
+  WorkerPool pool(mopts.threads - 1);
   const PipelinePlan* pplan = prep.exec_pipelines.get();
   for (auto _ : state) {
-    MorselExecutor ex(&g, mopts, store.get());
+    MorselExecutor ex(&g, mopts, store.get(), &pool);
     ex.set_params(&bound);
     auto r = ex.Execute(prep.physical, pplan);
     benchmark::DoNotOptimize(r.NumRows());
   }
-  MorselExecutor ex(&g, mopts, store.get());
+  MorselExecutor ex(&g, mopts, store.get(), &pool);
   ex.set_params(&bound);
   state.counters["rows"] =
       static_cast<double>(ex.Execute(prep.physical, pplan).NumRows());

@@ -5,6 +5,7 @@
 #include <functional>
 #include <set>
 #include <stdexcept>
+#include <thread>
 
 #include "src/common/str_format.h"
 #include "src/engine/subpattern.h"
@@ -32,7 +33,15 @@ GOptEngine::GOptEngine(const PropertyGraph* g, BackendSpec backend,
       result_cache_(opts.result_cache ? opts.result_cache
                     : opts.result_cache_bytes > 0
                         ? std::make_shared<ResultCache>(opts.result_cache_bytes)
-                        : nullptr) {
+                        : nullptr),
+      // One thread per partition or morsel worker beyond the caller's own.
+      pool_(std::make_unique<WorkerPool>(
+          std::max(opts.partitions,
+                   opts.exec_threads > 0
+                       ? opts.exec_threads
+                       : static_cast<int>(std::max(
+                             1u, std::thread::hardware_concurrency()))) -
+          1)) {
   if (opts_.partitions > 0) {
     PartitionerOptions popts;
     popts.refine_sweeps = opts_.partition_refine_sweeps;
@@ -362,7 +371,7 @@ ResultTable GOptEngine::RunPhysical(const PhysOpPtr& root,
     // With a sharded store the executor runs one worker per partition
     // (ownership-map exchanges); otherwise the legacy per-operator
     // simulated partitioning over backend_.num_workers.
-    DistributedExecutor ex(g_, backend_.num_workers, pstore);
+    DistributedExecutor ex(g_, backend_.num_workers, pstore, pool_.get());
     ex.set_params(&bound);
     ex.set_vectorize(opts_.vectorize);
     ex.set_cancel(cancel);
@@ -383,7 +392,7 @@ ResultTable GOptEngine::RunPhysical(const PhysOpPtr& root,
     mopts.threads = opts_.exec_threads;
     mopts.factorization = opts_.factorization;
     mopts.vectorize = opts_.vectorize;
-    MorselExecutor ex(g_, mopts, pstore);
+    MorselExecutor ex(g_, mopts, pstore, pool_.get());
     ex.set_params(&bound);
     ex.set_cancel(cancel);
     ResultTable table;

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "src/common/cancel.h"
+#include "src/common/worker_pool.h"
 #include "src/engine/result_cache.h"
 #include "src/exec/dist_executor.h"
 #include "src/exec/executor.h"
@@ -379,6 +380,13 @@ class GOptEngine {
   /// guarded by obs_mu_, reset on successful migration.
   mutable std::mutex obs_mu_;
   mutable std::vector<uint64_t> observed_rows_;
+
+  /// The persistent worker threads both parallel runtimes run on
+  /// (docs/concurrency.md): max(partitions, resolved exec_threads) - 1 of
+  /// them, started here once, so Execute never starts a thread; each
+  /// Execute's calling thread works alongside them. Zero threads (every
+  /// stage inline) at the default options.
+  std::unique_ptr<WorkerPool> pool_;
 
   /// Guards the lazily built statistics handles and the epoch; mutable so
   /// const Prepare can build them on first use.

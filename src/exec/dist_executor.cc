@@ -1,8 +1,7 @@
 #include "src/exec/dist_executor.h"
 
 #include <algorithm>
-#include <functional>
-#include <thread>
+#include <stdexcept>
 
 namespace gopt {
 
@@ -21,6 +20,28 @@ int IndexOf(const std::vector<std::string>& cols, const std::string& c) {
 bool IsPassthrough(const ProjectItem& it) {
   return it.expr && it.expr->kind == Expr::Kind::kVar &&
          it.expr->tag == it.alias;
+}
+
+size_t TotalRows(const std::vector<std::vector<Batch>>& parts) {
+  size_t n = 0;
+  for (const auto& stream : parts) n += TotalBatchRows(stream);
+  return n;
+}
+
+/// `b`'s active rows with their columns rearranged from `from` order into
+/// `to` order (columns absent from `from` read as null).
+Batch MapColumns(const Batch& b, const std::vector<std::string>& from,
+                 const std::vector<std::string>& to) {
+  Batch out(to.size());
+  for (size_t c = 0; c < to.size(); ++c) {
+    const int src = IndexOf(from, to[c]);
+    std::vector<Value>& col = out.col(c);
+    col.reserve(b.size());
+    for (size_t i = 0; i < b.size(); ++i) {
+      col.push_back(src < 0 ? Value() : b.At(i, static_cast<size_t>(src)));
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -44,8 +65,8 @@ ResultTable DistributedExecutor::Execute(const PhysOpPtr& root) {
     stats_.store_cut_edges = pg_->total_cut_edges();
     stats_.store_vertex_balance = pg_->VertexBalance();
     stats_.partition_rows.assign(static_cast<size_t>(workers_), 0);
-    CountConsumers(root, &consumers_);
   }
+  CountConsumers(root, &consumers_);
   PartsPtr parts = Run(root);
   // Fresh executor per Execute, so the kernel dispatch counters started at
   // zero: the final values are this run's totals.
@@ -53,33 +74,46 @@ ResultTable DistributedExecutor::Execute(const PhysOpPtr& root) {
   stats_.gen_dispatch = k_.generic_dispatches();
   ResultTable out;
   out.columns = root->out_cols;
-  for (auto& p : *parts) {
-    for (auto& r : p) out.rows.push_back(std::move(r));
+  out.rows.reserve(TotalRows(*parts));
+  for (const auto& stream : *parts) {
+    for (const Batch& b : stream) b.AppendRowsTo(&out.rows);
   }
   return out;
 }
 
-DistributedExecutor::Parts DistributedExecutor::ParallelApply(
-    const Parts& in,
-    std::function<std::vector<Row>(const std::vector<Row>&)> fn) const {
+template <typename F>
+void DistributedExecutor::ForEachWorker(size_t input_rows, const F& fn) const {
+  const size_t W = static_cast<size_t>(workers_);
+  if (input_rows < kInlineStageRows) {
+    for (size_t w = 0; w < W; ++w) fn(w);
+  } else {
+    ParallelFor(pool_, W, fn);
+  }
+}
+
+template <typename F>
+DistributedExecutor::Parts DistributedExecutor::MapBatches(
+    const Parts& in, const F& kernel) const {
   Parts out(static_cast<size_t>(workers_));
-  // Tiny partitions are not worth a thread spawn (the simulator would
-  // otherwise charge ~100us of scheduling per stage to sub-millisecond
-  // queries); results are identical either way.
-  size_t total = 0;
-  for (const auto& p : in) total += p.size();
-  if (total < 2048) {
-    for (int w = 0; w < workers_; ++w) {
-      out[static_cast<size_t>(w)] = fn(in[static_cast<size_t>(w)]);
+  ForEachWorker(TotalRows(in), [&](size_t w) {
+    for (const Batch& b : in[w]) {
+      Batch o = kernel(b);
+      if (!o.empty()) out[w].push_back(std::move(o));
     }
-    return out;
-  }
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(workers_));
-  for (int w = 0; w < workers_; ++w) {
-    threads.emplace_back([&, w] { out[w] = fn(in[static_cast<size_t>(w)]); });
-  }
-  for (auto& t : threads) t.join();
+  });
+  return out;
+}
+
+template <typename F>
+DistributedExecutor::Parts DistributedExecutor::MapRows(
+    const Parts& in, const F& kernel) const {
+  Parts out(static_cast<size_t>(workers_));
+  ForEachWorker(TotalRows(in), [&](size_t w) {
+    std::vector<Row> rows = kernel(RowsFromBatches(in[w]));
+    if (!rows.empty()) {
+      out[w].push_back(Batch::FromRows(rows, rows.front().size()));
+    }
+  });
   return out;
 }
 
@@ -90,36 +124,77 @@ int DistributedExecutor::OwnerOf(const Value& v) const {
              : static_cast<int>(id % static_cast<VertexId>(workers_));
 }
 
-DistributedExecutor::Parts DistributedExecutor::ExchangeByKey(
-    Parts in, const std::vector<int>& key_idx) {
-  Parts out(static_cast<size_t>(workers_));
+template <typename F>
+DistributedExecutor::Parts DistributedExecutor::Exchange(Parts in,
+                                                         const F& target) {
+  const size_t W = static_cast<size_t>(workers_);
   stats_.exchanges++;
-  for (int w = 0; w < workers_; ++w) {
-    for (auto& row : in[static_cast<size_t>(w)]) {
-      size_t h = 0x51ed;
-      for (int i : key_idx) {
-        h = HashCombine(h, row[static_cast<size_t>(i)].Hash());
+  // Targets first, so every destination column is reserved once; then a
+  // column-at-a-time scatter that moves values out of the drained input.
+  std::vector<std::vector<std::vector<uint32_t>>> targets(W);
+  std::vector<size_t> counts(W, 0);
+  size_t ncols = 0;
+  for (size_t w = 0; w < W; ++w) {
+    targets[w].resize(in[w].size());
+    for (size_t bi = 0; bi < in[w].size(); ++bi) {
+      const Batch& b = in[w][bi];
+      ncols = b.num_cols();
+      std::vector<uint32_t>& t = targets[w][bi];
+      t.resize(b.size());
+      for (size_t i = 0; i < b.size(); ++i) {
+        t[i] = static_cast<uint32_t>(target(b, i));
+        if (t[i] != w) stats_.comm_rows++;
+        counts[t[i]]++;
       }
-      int target = key_idx.empty() ? 0 : static_cast<int>(h % static_cast<size_t>(workers_));
-      if (target != w) stats_.comm_rows++;
-      out[static_cast<size_t>(target)].push_back(std::move(row));
     }
+  }
+  std::vector<Batch> dest(W, Batch(ncols));
+  for (size_t d = 0; d < W; ++d) {
+    for (size_t c = 0; c < ncols; ++c) dest[d].col(c).reserve(counts[d]);
+  }
+  for (size_t w = 0; w < W; ++w) {
+    for (size_t bi = 0; bi < in[w].size(); ++bi) {
+      Batch& b = in[w][bi];
+      const std::vector<uint32_t>& t = targets[w][bi];
+      for (size_t c = 0; c < ncols; ++c) {
+        if (b.col_is_group(c)) {
+          for (size_t i = 0; i < t.size(); ++i) {
+            dest[t[i]].col(c).push_back(b.At(i, c));
+          }
+        } else {
+          std::vector<Value>& col = b.col(c);
+          for (size_t i = 0; i < t.size(); ++i) {
+            dest[t[i]].col(c).push_back(std::move(col[b.PhysIndex(i)]));
+          }
+        }
+      }
+    }
+  }
+  Parts out(W);
+  for (size_t d = 0; d < W; ++d) {
+    if (!dest[d].empty()) out[d].push_back(std::move(dest[d]));
   }
   return out;
 }
 
+DistributedExecutor::Parts DistributedExecutor::ExchangeByKey(
+    Parts in, const std::vector<int>& key_idx) {
+  const size_t W = static_cast<size_t>(workers_);
+  return Exchange(std::move(in), [&](const Batch& b, size_t i) -> size_t {
+    if (key_idx.empty()) return 0;
+    size_t h = 0x51ed;
+    for (int k : key_idx) {
+      h = HashCombine(h, b.At(i, static_cast<size_t>(k)).Hash());
+    }
+    return h % W;
+  });
+}
+
 DistributedExecutor::Parts DistributedExecutor::ExchangeByVertex(Parts in,
                                                                  int idx) {
-  Parts out(static_cast<size_t>(workers_));
-  stats_.exchanges++;
-  for (int w = 0; w < workers_; ++w) {
-    for (auto& row : in[static_cast<size_t>(w)]) {
-      int target = OwnerOf(row[static_cast<size_t>(idx)]);
-      if (target != w) stats_.comm_rows++;
-      out[static_cast<size_t>(target)].push_back(std::move(row));
-    }
-  }
-  return out;
+  return Exchange(std::move(in), [&](const Batch& b, size_t i) -> size_t {
+    return static_cast<size_t>(OwnerOf(b.At(i, static_cast<size_t>(idx))));
+  });
 }
 
 const std::string& DistributedExecutor::ExpandSourceTag(const PhysOp& op) {
@@ -146,15 +221,14 @@ const DistributedExecutor::Parts* DistributedExecutor::StageForExpansion(
     *cur_tag = have;  // tag not materialized in the row: nothing to stage
     return in.get();
   }
-  // A single-consumer stream is drained in place (the memoized entry has
-  // no other reader); one feeding several parents (DAG plans) is
-  // exchanged as a copy.
-  if (consumers_[op.children[0].get()] <= 1) {
-    *staged = ExchangeByVertex(std::move(*in), idx);
-  } else {
-    *staged = ExchangeByVertex(Parts(*in), idx);
-  }
+  *staged = ExchangeByVertex(Take(op.children[0].get(), in), idx);
   return staged;
+}
+
+DistributedExecutor::Parts DistributedExecutor::Take(const PhysOp* child,
+                                                     const PartsPtr& parts) {
+  if (consumers_[child] <= 1) return std::move(*parts);
+  return *parts;
 }
 
 DistributedExecutor::PartsPtr DistributedExecutor::Run(const PhysOpPtr& op) {
@@ -162,27 +236,34 @@ DistributedExecutor::PartsPtr DistributedExecutor::Run(const PhysOpPtr& op) {
   if (it != memo_.end()) return it->second;
 
   // Operator-boundary cancellation check: every dataflow step of the
-  // simulator starts on the control thread, so checking here (never inside
-  // the per-partition worker threads, which must not throw) bounds the
+  // simulator starts on the control thread, so checking here bounds the
   // overrun to one operator.
   cancel_.Check();
 
+  const size_t W = static_cast<size_t>(workers_);
+  const PhysOp* child0 = op->children.empty() ? nullptr : op->children[0].get();
   // The vertex tag this node's output is ownership-partitioned by
   // (sharded mode only; "" = none).
   std::string out_tag;
-  auto result = std::make_shared<Parts>(static_cast<size_t>(workers_));
+  auto result = std::make_shared<Parts>(W);
   switch (op->kind) {
     case PhysOpKind::kScanVertices: {
       // Each worker scans its own vertex partition — no communication.
-      // Sharded: the partition's owned vertex lists; legacy: id % W.
-      std::vector<std::thread> threads;
-      for (int w = 0; w < workers_; ++w) {
-        threads.emplace_back([&, w] {
-          (*result)[static_cast<size_t>(w)] =
-              pg_ ? k_.ScanPartition(*op, w) : k_.Scan(*op, w, workers_);
-        });
-      }
-      for (auto& t : threads) t.join();
+      // Sharded: the partition's owned vertex lists, one morsel per
+      // (partition, type), partition-major; legacy: every morsel of the
+      // global domain, filtered to id % W == worker.
+      const std::vector<ScanMorsel> morsels =
+          k_.ScanMorsels(*op, ~static_cast<size_t>(0));
+      size_t domain = 0;
+      for (const ScanMorsel& m : morsels) domain += m.end - m.begin;
+      ForEachWorker(domain, [&](size_t w) {
+        for (const ScanMorsel& m : morsels) {
+          if (pg_ != nullptr && m.partition != static_cast<int>(w)) continue;
+          Batch b = pg_ ? k_.ScanBatch(*op, m)
+                        : k_.ScanBatch(*op, m, static_cast<int>(w), workers_);
+          if (!b.empty()) (*result)[w].push_back(std::move(b));
+        }
+      });
       out_tag = op->alias;
       break;
     }
@@ -192,8 +273,10 @@ DistributedExecutor::PartsPtr DistributedExecutor::Run(const PhysOpPtr& op) {
       // vertex column (out_tag stays empty), so a later expansion stages
       // it to the expansion source's owners like any unaligned stream.
       const std::vector<Row>& rows = *op->cached_rows;
-      for (size_t i = 0; i < rows.size(); ++i) {
-        (*result)[i % static_cast<size_t>(workers_)].push_back(rows[i]);
+      std::vector<Batch> dealt(W, Batch(op->out_cols.size()));
+      for (size_t i = 0; i < rows.size(); ++i) dealt[i % W].AppendRow(rows[i]);
+      for (size_t w = 0; w < W; ++w) {
+        if (!dealt[w].empty()) (*result)[w].push_back(std::move(dealt[w]));
       }
       break;
     }
@@ -201,15 +284,15 @@ DistributedExecutor::PartsPtr DistributedExecutor::Run(const PhysOpPtr& op) {
     case PhysOpKind::kExpandIntersect:
     case PhysOpKind::kPathExpand: {
       auto in = Run(op->children[0]);
-      auto apply = [&](const Parts& src) {
-        return ParallelApply(src, [&](const std::vector<Row>& rows) {
+      auto expand = [&](const Parts& src) {
+        return MapBatches(src, [&](const Batch& b) {
           switch (op->kind) {
             case PhysOpKind::kExpandEdge:
-              return k_.ExpandEdge(*op, rows);
+              return k_.ExpandEdgeBatch(*op, b);
             case PhysOpKind::kExpandIntersect:
-              return k_.ExpandIntersect(*op, rows);
+              return k_.ExpandIntersectBatch(*op, b);
             default:
-              return k_.PathExpand(*op, rows);
+              return k_.PathExpandBatch(*op, b);
           }
         });
       };
@@ -221,9 +304,9 @@ DistributedExecutor::PartsPtr DistributedExecutor::Run(const PhysOpPtr& op) {
         // it, so a chain's final expansion moves no rows at all.
         Parts staged;
         const Parts* src = StageForExpansion(*op, in, &staged, &out_tag);
-        *result = apply(*src);
+        *result = expand(*src);
       } else {
-        *result = apply(*in);
+        *result = expand(*in);
         // Legacy eager placement: rows migrate to the owner of the newly
         // bound vertex.
         if (!op->target_bound) {
@@ -234,20 +317,25 @@ DistributedExecutor::PartsPtr DistributedExecutor::Run(const PhysOpPtr& op) {
       break;
     }
     case PhysOpKind::kSelect: {
-      auto in = Run(op->children[0]);
-      *result = ParallelApply(
-          *in, [&](const std::vector<Row>& rows) { return k_.Filter(*op, rows); });
-      out_tag = owner_tag_[op->children[0].get()];
+      // Refines the selection vectors in place; no values move.
+      *result = Take(child0, Run(op->children[0]));
+      ForEachWorker(TotalRows(*result), [&](size_t w) {
+        std::vector<Batch>& stream = (*result)[w];
+        for (Batch& b : stream) k_.FilterBatch(*op, &b);
+        stream.erase(std::remove_if(stream.begin(), stream.end(),
+                                    [](const Batch& b) { return b.empty(); }),
+                     stream.end());
+      });
+      out_tag = owner_tag_[child0];
       break;
     }
     case PhysOpKind::kProject: {
       auto in = Run(op->children[0]);
-      *result = ParallelApply(*in, [&](const std::vector<Row>& rows) {
-        return k_.Project(*op, rows);
-      });
+      *result = MapBatches(
+          *in, [&](const Batch& b) { return k_.ProjectBatch(*op, b); });
       // Partitioning survives only if the partitioning column passes
       // through under its own name.
-      const std::string& have = owner_tag_[op->children[0].get()];
+      const std::string& have = owner_tag_[child0];
       for (const ProjectItem& item : op->items) {
         if (item.alias == have && IsPassthrough(item)) out_tag = have;
       }
@@ -255,63 +343,55 @@ DistributedExecutor::PartsPtr DistributedExecutor::Run(const PhysOpPtr& op) {
     }
     case PhysOpKind::kUnfold: {
       auto in = Run(op->children[0]);
-      *result = ParallelApply(*in, [&](const std::vector<Row>& rows) {
-        return k_.Unfold(*op, rows);
-      });
-      const std::string& have = owner_tag_[op->children[0].get()];
+      *result = MapBatches(
+          *in, [&](const Batch& b) { return k_.UnfoldBatch(*op, b); });
+      const std::string& have = owner_tag_[child0];
       if (have != op->unfold_alias) out_tag = have;
       break;
     }
     case PhysOpKind::kAggregate: {
       auto in = Run(op->children[0]);
+      auto aggregate = [&](const Parts& src) {
+        Parts out(W);
+        ForEachWorker(TotalRows(src), [&](size_t w) {
+          std::vector<Row> rows = k_.AggregateBatchRows(*op, src[w]);
+          if (!rows.empty()) {
+            out[w].push_back(Batch::FromRows(rows, op->out_cols.size()));
+          }
+        });
+        return out;
+      };
       if (SupportsPartialAgg(*op)) {
         // GroupLocal on each worker, exchange partials by key, GroupGlobal.
-        Parts partial = ParallelApply(*in, [&](const std::vector<Row>& rows) {
-          return k_.Aggregate(*op, rows, /*combine=*/false);
-        });
         std::vector<int> key_idx;
         for (size_t i = 0; i < op->group_keys.size(); ++i) {
           key_idx.push_back(static_cast<int>(i));
         }
-        Parts exchanged = ExchangeByKey(std::move(partial), key_idx);
-        *result = ParallelApply(exchanged, [&](const std::vector<Row>& rows) {
+        Parts exchanged = ExchangeByKey(aggregate(*in), key_idx);
+        *result = MapRows(exchanged, [&](const std::vector<Row>& rows) {
           return k_.Aggregate(*op, rows, /*combine=*/true);
         });
-        // A keyless aggregate produces its single row on worker 0 only;
-        // other workers' combine over empty input must not emit defaults.
-        if (op->group_keys.empty()) {
-          for (int w = 1; w < workers_; ++w) {
-            (*result)[static_cast<size_t>(w)].clear();
-          }
-        }
       } else {
         // Raw-row exchange by group key hash, then full local aggregation.
-        const auto& ccols = op->children[0]->out_cols;
-        ColMap cmap = MakeColMap(ccols);
-        // Materialize key columns to hash on: append them temporarily.
-        Parts keyed(static_cast<size_t>(workers_));
-        stats_.exchanges++;
-        for (int w = 0; w < workers_; ++w) {
-          for (auto& row : (*in)[static_cast<size_t>(w)]) {
-            size_t h = 0x9d;
-            for (const auto& k : op->group_keys) {
-              h = HashCombine(h, k_.eval().Eval(*k.expr, row, cmap).Hash());
-            }
-            int target = op->group_keys.empty()
-                             ? 0
-                             : static_cast<int>(h % static_cast<size_t>(workers_));
-            if (target != w) stats_.comm_rows++;
-            keyed[static_cast<size_t>(target)].push_back(row);
-          }
-        }
-        *result = ParallelApply(keyed, [&](const std::vector<Row>& rows) {
-          return k_.Aggregate(*op, rows, /*combine=*/false);
-        });
-        if (op->group_keys.empty()) {
-          for (int w = 1; w < workers_; ++w) {
-            (*result)[static_cast<size_t>(w)].clear();
-          }
-        }
+        const ColMap cmap = MakeColMap(op->children[0]->out_cols);
+        Row scratch;
+        Parts keyed = Exchange(
+            Take(child0, in), [&](const Batch& b, size_t i) -> size_t {
+              if (op->group_keys.empty()) return 0;
+              b.GatherRow(i, &scratch);
+              size_t h = 0x9d;
+              for (const auto& k : op->group_keys) {
+                h = HashCombine(h, k_.eval().Eval(*k.expr, scratch, cmap).Hash());
+              }
+              return h % W;
+            });
+        *result = aggregate(keyed);
+      }
+      // A keyless aggregate produces its single row on worker 0 only;
+      // other workers' aggregation over empty input must not emit
+      // defaults.
+      if (op->group_keys.empty()) {
+        for (size_t w = 1; w < W; ++w) (*result)[w].clear();
       }
       break;
     }
@@ -322,19 +402,23 @@ DistributedExecutor::PartsPtr DistributedExecutor::Run(const PhysOpPtr& op) {
       for (const auto& k : op->join_keys) {
         lkey.push_back(IndexOf(op->children[0]->out_cols, k));
         rkey.push_back(IndexOf(op->children[1]->out_cols, k));
+        if (lkey.back() < 0 || rkey.back() < 0) {
+          throw std::runtime_error("HashJoin: key column '" + k +
+                                   "' missing from an input");
+        }
       }
-      Parts le = ExchangeByKey(*l, lkey);
-      Parts re = ExchangeByKey(*r, rkey);
-      Parts out(static_cast<size_t>(workers_));
-      std::vector<std::thread> threads;
-      for (int w = 0; w < workers_; ++w) {
-        threads.emplace_back([&, w] {
-          out[static_cast<size_t>(w)] =
-              k_.Join(*op, le[static_cast<size_t>(w)], re[static_cast<size_t>(w)]);
-        });
-      }
-      for (auto& t : threads) t.join();
-      *result = std::move(out);
+      Parts le = ExchangeByKey(Take(child0, l), lkey);
+      Parts re = ExchangeByKey(Take(op->children[1].get(), r), rkey);
+      ForEachWorker(TotalRows(le) + TotalRows(re), [&](size_t w) {
+        // Build over this worker's share of the right side, probe with its
+        // share of the left.
+        const std::vector<Row> build = RowsFromBatches(re[w]);
+        const JoinHashTable ht = k_.BuildJoinTable(*op, build);
+        for (const Batch& b : le[w]) {
+          Batch o = k_.JoinProbeBatch(*op, b, ht);
+          if (!o.empty()) (*result)[w].push_back(std::move(o));
+        }
+      });
       break;
     }
     case PhysOpKind::kDedup: {
@@ -348,8 +432,8 @@ DistributedExecutor::PartsPtr DistributedExecutor::Run(const PhysOpPtr& op) {
       } else {
         for (const auto& t : op->dedup_tags) key_idx.push_back(IndexOf(ccols, t));
       }
-      Parts ex = ExchangeByKey(*in, key_idx);
-      *result = ParallelApply(
+      Parts ex = ExchangeByKey(Take(child0, in), key_idx);
+      *result = MapRows(
           ex, [&](const std::vector<Row>& rows) { return k_.Dedup(*op, rows); });
       break;
     }
@@ -359,34 +443,39 @@ DistributedExecutor::PartsPtr DistributedExecutor::Run(const PhysOpPtr& op) {
       // communication like any exchange), then k-way merge them there —
       // output-identical to re-sorting the concatenation, without the
       // O(N log N) re-sort of already-sorted runs.
-      Parts local = ParallelApply(*in, [&](const std::vector<Row>& rows) {
-        return k_.SortLimit(*op, rows);
+      std::vector<std::vector<Row>> local(W);
+      ForEachWorker(TotalRows(*in), [&](size_t w) {
+        local[w] = k_.SortLimit(*op, RowsFromBatches((*in)[w]));
       });
       stats_.exchanges++;
-      for (int w = 1; w < workers_; ++w) {
-        stats_.comm_rows += local[static_cast<size_t>(w)].size();
+      for (size_t w = 1; w < W; ++w) stats_.comm_rows += local[w].size();
+      std::vector<Row> merged = k_.MergeSortedLimit(*op, std::move(local));
+      if (!merged.empty()) {
+        (*result)[0].push_back(Batch::FromRows(merged, op->out_cols.size()));
       }
-      (*result)[0] = k_.MergeSortedLimit(*op, std::move(local));
       break;
     }
     case PhysOpKind::kLimit: {
       auto in = Run(op->children[0]);
-      Parts gathered = ExchangeByKey(*in, {});
-      auto& rows = gathered[0];
-      size_t n = std::min(rows.size(), static_cast<size_t>(op->limit));
-      rows.resize(n);
-      (*result)[0] = std::move(rows);
+      Parts gathered = ExchangeByKey(Take(child0, in), {});
+      if (!gathered[0].empty()) {
+        Batch& b = gathered[0][0];
+        const size_t n = std::min(b.size(), static_cast<size_t>(op->limit));
+        std::vector<uint32_t> head(n);
+        for (size_t i = 0; i < n; ++i) head[i] = b.PhysIndex(i);
+        b.SetSelection(std::move(head));
+        if (n > 0) (*result)[0].push_back(std::move(b));
+      }
       break;
     }
     case PhysOpKind::kUnion: {
       auto l = Run(op->children[0]);
       auto r = Run(op->children[1]);
-      for (int w = 0; w < workers_; ++w) {
-        (*result)[static_cast<size_t>(w)] = (*l)[static_cast<size_t>(w)];
-        auto mapped = k_.MapColumns((*r)[static_cast<size_t>(w)],
-                                    op->children[1]->out_cols, op->out_cols);
-        for (auto& row : mapped) {
-          (*result)[static_cast<size_t>(w)].push_back(std::move(row));
+      for (size_t w = 0; w < W; ++w) {
+        (*result)[w] = (*l)[w];
+        for (const Batch& b : (*r)[w]) {
+          (*result)[w].push_back(
+              MapColumns(b, op->children[1]->out_cols, op->out_cols));
         }
       }
       if (op->union_distinct) {
@@ -397,9 +486,8 @@ DistributedExecutor::PartsPtr DistributedExecutor::Run(const PhysOpPtr& op) {
         Parts ex = ExchangeByKey(std::move(*result), key_idx);
         PhysOp dd(PhysOpKind::kDedup);
         dd.children = {op};
-        *result = ParallelApply(ex, [&](const std::vector<Row>& rows) {
-          return k_.Dedup(dd, rows);
-        });
+        *result = MapRows(
+            ex, [&](const std::vector<Row>& rows) { return k_.Dedup(dd, rows); });
       }
       break;
     }
@@ -408,11 +496,12 @@ DistributedExecutor::PartsPtr DistributedExecutor::Run(const PhysOpPtr& op) {
   // (intermediate partials, exchanged copies and two-phase local results
   // are not emissions) — the definition all runtimes share; see ExecStats.
   uint64_t emitted = 0;
-  for (size_t w = 0; w < result->size(); ++w) {
-    emitted += (*result)[w].size();
-    stats_.rows_produced += (*result)[w].size();
-    if (pg_ != nullptr) stats_.partition_rows[w] += (*result)[w].size();
+  for (size_t w = 0; w < W; ++w) {
+    const size_t n = TotalBatchRows((*result)[w]);
+    emitted += n;
+    if (pg_ != nullptr) stats_.partition_rows[w] += n;
   }
+  stats_.rows_produced += emitted;
   // Charge this operator's emissions against the row budget; the next
   // operator's Check observes a trip.
   cancel_.AddRows(emitted);

@@ -1,11 +1,11 @@
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 
 #include "src/common/hash.h"
+#include "src/common/worker_pool.h"
 #include "src/exec/executor.h"
 #include "src/store/partitioned_graph.h"
 
@@ -30,6 +30,12 @@ namespace gopt {
 ///    vertex's owner — the pre-sharding simulated partitioning, kept as
 ///    the `partitions = 0` baseline.
 ///
+/// Data flows as one stream of columnar Batches per worker: scans,
+/// expansions, filters, projections, unfolds and join probes call the
+/// batch kernels directly, and exchanges scatter batch rows into one
+/// Batch per target worker. Pipeline breakers (aggregate, order, dedup,
+/// join build) convert their input once, as the morsel runtime does.
+///
 /// In both modes joins, aggregates and dedups hash-exchange on their keys;
 /// ORDER does a local top-k then a k-way merge of the sorted per-worker
 /// lists at worker 0. Exchanged rows are counted in ExecStats::comm_rows,
@@ -39,18 +45,34 @@ namespace gopt {
 /// Implements ExpandIntersect (WCOJ-style vertex expansion) and two-phase
 /// aggregation (GroupLocal / GroupGlobal, Fig. 3(d) in the paper).
 ///
+/// Threads: the per-worker work of one operator runs as WorkerPool tasks
+/// on the caller-supplied pool (the engine's, shared by every query), with
+/// the calling thread taking part; stages with fewer than kInlineStageRows
+/// input rows, and every stage when no pool is given, run inline on the
+/// calling thread. A kernel exception thrown on any thread reaches the
+/// Execute caller. Exchanges, stats and the operator memo stay on the
+/// calling thread.
+///
 /// Thread-confinement: one executor instance belongs to one Execute call
-/// at a time (it carries per-run memo/stats state; the worker threads it
-/// spawns internally are its own). GOptEngine constructs a fresh executor
-/// per Execute, so engine-level Execute calls may run concurrently.
+/// at a time (it carries per-run memo/stats state). GOptEngine constructs
+/// a fresh executor per Execute, so engine-level Execute calls may run
+/// concurrently.
 class DistributedExecutor {
  public:
+  /// Stages whose input holds fewer rows than this run inline: handing
+  /// them to the pool costs more than it saves. Results are identical
+  /// either way.
+  static constexpr size_t kInlineStageRows = 2048;
+
   /// With `pg` attached, the worker count is the store's partition count
-  /// and `workers` is ignored; `pg` must outlive the executor.
+  /// and `workers` is ignored; `pg` must outlive the executor. `pool`
+  /// (optional, must outlive Execute) runs the per-worker stages.
   DistributedExecutor(const PropertyGraph* g, int workers,
-                      const PartitionedGraph* pg = nullptr)
+                      const PartitionedGraph* pg = nullptr,
+                      WorkerPool* pool = nullptr)
       : k_(g, pg),
         pg_(pg),
+        pool_(pool),
         workers_(pg ? pg->num_partitions() : (workers < 1 ? 1 : workers)) {}
 
   ResultTable Execute(const PhysOpPtr& root);
@@ -59,8 +81,8 @@ class DistributedExecutor {
   int workers() const { return workers_; }
 
   /// Parameter bindings for $name slots in the plan's expressions; must
-  /// outlive Execute (the map is read concurrently by worker threads, which
-  /// is safe because execution only ever reads it).
+  /// outlive Execute (the map is read concurrently by pool tasks, which is
+  /// safe because execution only ever reads it).
   void set_params(const ParamMap* params) { k_.set_params(params); }
 
   /// Enables/disables the kernels' vectorized fast paths (bit-identical
@@ -74,24 +96,41 @@ class DistributedExecutor {
   void set_cancel(CancelToken cancel) { cancel_ = std::move(cancel); }
 
  private:
-  /// A distributed table: one row vector per worker.
-  using Parts = std::vector<std::vector<Row>>;
+  /// A distributed table: one Batch stream per worker.
+  using Parts = std::vector<std::vector<Batch>>;
   using PartsPtr = std::shared_ptr<Parts>;
 
   PartsPtr Run(const PhysOpPtr& op);
+  /// The memoized output `parts` of `child`, for a consumer that drains
+  /// it: moved out when that consumer is the only one, else copied.
+  Parts Take(const PhysOp* child, const PartsPtr& parts);
 
+  /// Runs fn(w) for every worker w: on the pool when the stage's input
+  /// holds at least kInlineStageRows rows, else inline.
+  template <typename F>
+  void ForEachWorker(size_t input_rows, const F& fn) const;
+  /// Applies a batch-in/batch-out kernel to every batch of every worker's
+  /// stream, keeping the non-empty outputs in order.
+  template <typename F>
+  Parts MapBatches(const Parts& in, const F& kernel) const;
+  /// Runs a breaker kernel over each worker's whole stream (as rows) and
+  /// re-wraps its output as that worker's single batch.
+  template <typename F>
+  Parts MapRows(const Parts& in, const F& kernel) const;
+
+  /// Moves every active row of `in` to the worker `target(batch, row)`
+  /// names, preserving order (source worker, then stream order); counts
+  /// one exchange and every row that changes worker as communication.
+  template <typename F>
+  Parts Exchange(Parts in, const F& target);
   /// Re-partitions rows by a hash of the given column indices (empty:
-  /// everything to worker 0); counts moved rows as communication.
+  /// everything to worker 0).
   Parts ExchangeByKey(Parts in, const std::vector<int>& key_idx);
   /// Re-partitions by owner of the vertex in column `idx` — the store's
   /// ownership map when sharded, `id % W` in legacy mode.
   Parts ExchangeByVertex(Parts in, int idx);
   /// Owner worker of a row value holding a vertex.
   int OwnerOf(const Value& v) const;
-  /// Applies `fn(worker_partition)` across workers in parallel.
-  Parts ParallelApply(const Parts& in,
-                      std::function<std::vector<Row>(const std::vector<Row>&)>
-                          fn) const;
 
   /// Sharded mode: the vertex tag an expansion reads adjacency from (the
   /// column its input must be partitioned by); empty when none.
@@ -110,6 +149,7 @@ class DistributedExecutor {
 
   Kernels k_;
   const PartitionedGraph* pg_;
+  WorkerPool* pool_;
   int workers_;
   CancelToken cancel_;
   ExecStats stats_;
@@ -118,8 +158,8 @@ class DistributedExecutor {
   /// ownership-partitioned by ("" = no meaningful partitioning, e.g.
   /// after a key exchange or gather).
   std::map<const PhysOp*, std::string> owner_tag_;
-  /// Sharded mode: parent count per node, so staging exchanges can drain
-  /// single-consumer streams instead of copying them.
+  /// Parent count per node, so single-consumer streams can be consumed in
+  /// place (staging exchanges, filters) instead of copied.
   std::map<const PhysOp*, int> consumers_;
 };
 

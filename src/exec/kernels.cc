@@ -286,21 +286,12 @@ Batch Kernels::ScanBatch(const PhysOp& op, const ScanMorsel& m, int worker,
   return out;
 }
 
-std::vector<Row> Kernels::ScanPartition(const PhysOp& op, int partition) const {
-  std::vector<Row> out;
-  for (const ScanMorsel& m : ScanMorsels(op, ~static_cast<size_t>(0))) {
-    if (m.partition != partition) continue;
-    ScanBatch(op, m).AppendRowsTo(&out);
-  }
-  return out;
-}
-
-std::vector<Row> Kernels::Scan(const PhysOp& op, int worker, int W) const {
+std::vector<Row> Kernels::Scan(const PhysOp& op) const {
   // One whole-domain morsel per type keeps the visit order of the
   // pre-batch scan (types in constraint order, ids ascending within).
   std::vector<Row> out;
   for (const ScanMorsel& m : ScanMorsels(op, ~static_cast<size_t>(0))) {
-    ScanBatch(op, m, worker, W).AppendRowsTo(&out);
+    ScanBatch(op, m).AppendRowsTo(&out);
   }
   return out;
 }
@@ -1404,6 +1395,29 @@ std::vector<Row> Kernels::Join(const PhysOp& op, const std::vector<Row>& left,
 // Union
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Permutes `rows` (with layout `from_cols`) into `to_cols` order.
+std::vector<Row> MapColumns(std::vector<Row> rows,
+                            const std::vector<std::string>& from_cols,
+                            const std::vector<std::string>& to_cols) {
+  if (from_cols == to_cols) return rows;
+  std::vector<int> perm;
+  for (const auto& c : to_cols) perm.push_back(IndexOf(from_cols, c));
+  std::vector<Row> out;
+  out.reserve(rows.size());
+  for (Row& r : rows) {
+    Row nr(perm.size());
+    for (size_t i = 0; i < perm.size(); ++i) {
+      nr[i] = perm[i] >= 0 ? r[static_cast<size_t>(perm[i])] : Value();
+    }
+    out.push_back(std::move(nr));
+  }
+  return out;
+}
+
+}  // namespace
+
 std::vector<Row> Kernels::Union(const PhysOp& op, std::vector<Row> left,
                                 std::vector<Row> right) const {
   std::vector<Row> mapped =
@@ -1501,49 +1515,6 @@ std::vector<Row> Kernels::MergeSortedLimit(
     heap.pop();
     out.push_back(std::move(parts[c.part][c.pos]));
     if (c.pos + 1 < parts[c.part].size()) heap.push({c.part, c.pos + 1});
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Batch wrappers over the blocking kernels
-// ---------------------------------------------------------------------------
-
-Batch Kernels::AggregateBatches(const PhysOp& op,
-                                const std::vector<Batch>& in) const {
-  return Batch::FromRows(Aggregate(op, RowsFromBatches(in)),
-                         op.out_cols.size());
-}
-
-Batch Kernels::SortLimitBatches(const PhysOp& op,
-                                const std::vector<Batch>& in) const {
-  return Batch::FromRows(SortLimit(op, RowsFromBatches(in)),
-                         op.out_cols.size());
-}
-
-Batch Kernels::DedupBatches(const PhysOp& op,
-                            const std::vector<Batch>& in) const {
-  return Batch::FromRows(Dedup(op, RowsFromBatches(in)), op.out_cols.size());
-}
-
-// ---------------------------------------------------------------------------
-// Column permutation
-// ---------------------------------------------------------------------------
-
-std::vector<Row> Kernels::MapColumns(std::vector<Row> rows,
-                                     const std::vector<std::string>& from_cols,
-                                     const std::vector<std::string>& to_cols) const {
-  if (from_cols == to_cols) return rows;
-  std::vector<int> perm;
-  for (const auto& c : to_cols) perm.push_back(IndexOf(from_cols, c));
-  std::vector<Row> out;
-  out.reserve(rows.size());
-  for (Row& r : rows) {
-    Row nr(perm.size());
-    for (size_t i = 0; i < perm.size(); ++i) {
-      nr[i] = perm[i] >= 0 ? r[static_cast<size_t>(perm[i])] : Value();
-    }
-    out.push_back(std::move(nr));
   }
   return out;
 }

@@ -39,15 +39,15 @@ struct JoinHashTable {
 /// expansions, filter, project, unfold, join probe) are batch-native —
 /// they consume and produce columnar Batches, filters refining the
 /// selection vector in place — and are what the morsel-driven runtime
-/// (src/exec/morsel.cc) schedules. The row-vector entry points used by
-/// the sequential and distributed executors share the same semantics:
-/// most are lossless adapters over the batch kernels (converting at the
-/// boundary, one extra value copy each way), while the two where that
-/// boundary would dominate — Filter and Project — keep trivially
-/// equivalent row-native bodies. The blocking kernels (aggregate,
-/// sort/limit, dedup, union, join build) materialize by nature and stay
-/// row-based; Batch wrappers are provided for the morsel runtime's
-/// pipeline sinks.
+/// (src/exec/morsel.cc) and the distributed runtime
+/// (src/exec/dist_executor.cc) call directly. The row-vector entry points
+/// used by the sequential executor share the same semantics: most are
+/// lossless adapters over the batch kernels (converting at the boundary,
+/// one extra value copy each way), while the two where that boundary
+/// would dominate — Filter and Project — keep trivially equivalent
+/// row-native bodies. The blocking kernels (aggregate, sort/limit, dedup,
+/// union, join build) materialize by nature and stay row-based, except
+/// AggregateBatchRows, which consumes batches directly.
 class Kernels {
  public:
   /// `pstore` (optional) attaches a sharded store. All graph reads are
@@ -71,8 +71,8 @@ class Kernels {
                                       size_t morsel_rows) const;
 
   /// Scans one morsel; with W > 1 only vertices owned by `worker` (id % W,
-  /// the legacy simulated partitioning — partitioned morsels carry real
-  /// ownership instead and ignore worker/W).
+  /// the distributed runtime's legacy simulated partitioning — partitioned
+  /// morsels carry real ownership instead and ignore worker/W).
   Batch ScanBatch(const PhysOp& op, const ScanMorsel& m, int worker = 0,
                   int W = 1) const;
 
@@ -150,19 +150,10 @@ class Kernels {
   std::vector<Row> AggregateBatchRows(const PhysOp& op,
                                       const std::vector<Batch>& in) const;
 
-  /// Batch wrappers over the blocking kernels (materialize internally).
-  Batch AggregateBatches(const PhysOp& op,
-                         const std::vector<Batch>& in) const;
-  Batch SortLimitBatches(const PhysOp& op, const std::vector<Batch>& in) const;
-  Batch DedupBatches(const PhysOp& op, const std::vector<Batch>& in) const;
+  // ---- row-vector adapters (sequential executor) ----
 
-  // ---- row-vector adapters (sequential + distributed executors) ----
-
-  /// Whole-domain vertex scan; with W > 1 only vertices owned by `worker`.
-  std::vector<Row> Scan(const PhysOp& op, int worker = 0, int W = 1) const;
-  /// One partition's share of the scan domain, read from the attached
-  /// sharded store's per-partition vertex lists (requires a pstore).
-  std::vector<Row> ScanPartition(const PhysOp& op, int partition) const;
+  /// Whole-domain vertex scan.
+  std::vector<Row> Scan(const PhysOp& op) const;
 
   std::vector<Row> ExpandEdge(const PhysOp& op, const std::vector<Row>& in) const;
   std::vector<Row> ExpandIntersect(const PhysOp& op,
@@ -181,11 +172,6 @@ class Kernels {
   /// can never diverge.
   std::vector<Row> Union(const PhysOp& op, std::vector<Row> left,
                          std::vector<Row> right) const;
-
-  /// Permutes `rows` (with layout `from_cols`) into `to_cols` order.
-  std::vector<Row> MapColumns(std::vector<Row> rows,
-                              const std::vector<std::string>& from_cols,
-                              const std::vector<std::string>& to_cols) const;
 
   const ExprEval& eval() const { return eval_; }
   const PropertyGraph& graph() const { return *g_; }

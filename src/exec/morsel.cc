@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <exception>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 
@@ -80,9 +78,10 @@ bool MorselQueue::Next(int w, size_t* idx) {
 }
 
 MorselExecutor::MorselExecutor(const PropertyGraph* g, MorselOptions opts,
-                               const PartitionedGraph* pg)
+                               const PartitionedGraph* pg, WorkerPool* pool)
     : k_(g, pg),
       pg_(pg),
+      pool_(pool),
       opts_(opts),
       threads_(opts.threads > 0
                    ? opts.threads
@@ -338,26 +337,12 @@ void MorselExecutor::RunPipeline(const Pipeline& p) {
           cancel_.AddRows(acc.rows - rows0);
         }
       };
-      if (T <= 1) {
-        work(0);
-      } else {
-        std::mutex err_mu;
-        std::exception_ptr err;
-        std::vector<std::thread> pool;
-        pool.reserve(static_cast<size_t>(T));
-        for (int w = 0; w < T; ++w) {
-          pool.emplace_back([&, w] {
-            try {
-              work(w);
-            } catch (...) {
-              std::lock_guard<std::mutex> lock(err_mu);
-              if (!err) err = std::current_exception();
-            }
-          });
-        }
-        for (auto& t : pool) t.join();
-        if (err) std::rethrow_exception(err);
-      }
+      // T queue slots, claimed by this thread and any idle pool workers;
+      // a slot nobody else picks up is drained here (its morsels are
+      // stolen by whichever slot runs first). A worker's exception —
+      // including the CancelledError above — is rethrown here.
+      ParallelFor(pool_, static_cast<size_t>(T),
+                  [&](size_t w) { work(static_cast<int>(w)); });
       for (const ChainStats& e : emitted) {
         stats_.rows_produced += e.rows;
         stats_.tuples_materialized += e.tuples;

@@ -4,6 +4,7 @@
 #include <map>
 #include <vector>
 
+#include "src/common/worker_pool.h"
 #include "src/exec/executor.h"
 #include "src/exec/kernels.h"
 #include "src/exec/pipeline.h"
@@ -13,9 +14,9 @@ namespace gopt {
 
 /// Knobs of the morsel-driven runtime.
 struct MorselOptions {
-  /// Worker threads per pipeline. 1 runs every morsel inline on the
-  /// calling thread (sequential batch execution, no pool); <= 0 means
-  /// hardware concurrency.
+  /// Worker slots per pipeline, run on the executor's WorkerPool. 1 runs
+  /// every morsel inline on the calling thread (sequential batch
+  /// execution); <= 0 means hardware concurrency.
   int threads = 1;
   /// Vertices per scan morsel (slices of the scan domain).
   size_t morsel_rows = 2048;
@@ -62,7 +63,8 @@ class MorselQueue {
 /// The morsel-driven, batch-at-a-time parallel runtime: decomposes the
 /// physical plan into pipelines (src/exec/pipeline.h), splits every
 /// pipeline's source into morsels, and streams each morsel through the
-/// pipeline's operator chain on a work-stealing worker pool. Within a
+/// pipeline's operator chain on work-stealing worker slots (run on the
+/// caller-supplied WorkerPool, the calling thread included). Within a
 /// pipeline, each worker holds only the one in-flight batch of its
 /// current morsel — intermediate operator results are never retained.
 /// What does materialize is each pipeline's *output* (the sink), kept as
@@ -81,18 +83,20 @@ class MorselQueue {
 /// Unlike the Neo4j-like SingleMachineExecutor, this runtime implements
 /// the full operator repertoire, including ExpandIntersect.
 ///
-/// Thread-confinement: one instance per Execute call (the worker threads
-/// it spawns internally are its own) — same contract as the other
-/// executors.
+/// Thread-confinement: one instance per Execute call — same contract as
+/// the other executors. The pool it runs on is shared and outlives it.
 class MorselExecutor {
  public:
   /// `pg` (optional) attaches a sharded store: scan pipelines then split
   /// into partition-granular morsels (one contiguous morsel run per
   /// partition, handed to workers partition-at-a-time before stealing)
   /// and ExecStats carries the per-partition scan row counts. Results are
-  /// differential-tested identical across partition counts.
+  /// differential-tested identical across partition counts. `pool`
+  /// (optional, must outlive Execute) runs the worker slots besides the
+  /// calling thread; without one every pipeline runs inline.
   explicit MorselExecutor(const PropertyGraph* g, MorselOptions opts = {},
-                          const PartitionedGraph* pg = nullptr);
+                          const PartitionedGraph* pg = nullptr,
+                          WorkerPool* pool = nullptr);
 
   /// Executes the plan. `plan` is an optional prebuilt decomposition of
   /// `root` (e.g. cached in a Prepared at planning time so warm-cache
@@ -108,9 +112,9 @@ class MorselExecutor {
   /// Cooperative cancellation (docs/serving.md): workers check the token
   /// before every morsel (and the control thread between pipelines), so a
   /// trip aborts within one morsel's worth of work per worker. The
-  /// CancelledError a worker throws rides the runtime's existing
-  /// exception capture and is rethrown out of Execute after the pool
-  /// joins.
+  /// CancelledError a worker throws rides WorkerPool::ParallelFor's
+  /// exception capture and is rethrown out of Execute once every worker
+  /// slot has finished.
   void set_cancel(CancelToken cancel) { cancel_ = std::move(cancel); }
 
   int threads() const { return threads_; }
@@ -150,6 +154,7 @@ class MorselExecutor {
 
   Kernels k_;
   const PartitionedGraph* pg_;
+  WorkerPool* pool_;
   MorselOptions opts_;
   int threads_;
   CancelToken cancel_;

@@ -300,18 +300,19 @@ TEST_F(BatchExecTest, MorselRuntimeRunsExpandIntersectPlans) {
   // against the distributed executor on those very plans.
   GOptEngine gs(ldbc_->graph.get(), BackendSpec::GraphScopeLike(4));
   gs.SetGlogue(*glogue_);
+  WorkerPool pool(3);
   for (const auto& wq : QcQueries()) {
     auto prep = gs.Prepare(Q(wq.cypher));
     ASSERT_FALSE(prep.invalid) << wq.name;
     ParamMap bound = prep.params;
 
-    DistributedExecutor dist(ldbc_->graph.get(), 4);
+    DistributedExecutor dist(ldbc_->graph.get(), 4, nullptr, &pool);
     dist.set_params(&bound);
     ResultTable want = dist.Execute(prep.physical);
 
     MorselOptions mopts;
     mopts.threads = 4;
-    MorselExecutor batch_ex(ldbc_->graph.get(), mopts);
+    MorselExecutor batch_ex(ldbc_->graph.get(), mopts, nullptr, &pool);
     batch_ex.set_params(&bound);
     ResultTable got = batch_ex.Execute(prep.physical);
 
