@@ -110,7 +110,7 @@ class CancelState {
 };
 
 /// Cheap copyable handle to a CancelState, threaded from the serving layer
-/// through Prepare/Execute into the three runtimes. A default-constructed
+/// through Prepare/Execute into both runtimes. A default-constructed
 /// token is "never cancelled" — every check is a null test — so the
 /// blocking engine API pays nothing for the plumbing.
 class CancelToken {

@@ -380,41 +380,21 @@ ResultTable GOptEngine::RunPhysical(const PhysOpPtr& root,
     ObservePartitionRows(*stats);
     return table;
   }
-  if (opts_.exec_threads != 1 || pstore != nullptr ||
-      opts_.factorization == FactorizationMode::kOn) {
-    // The morsel-driven batch runtime (see docs/executor.md). Results are
-    // differential-tested equal to the sequential executor below. A
-    // sharded store routes here even at one thread, so partitioned scans
-    // are exercised sequentially too (partition-granular morsels,
-    // deterministic morsel-order reassembly); factorization=on routes
-    // here likewise — only this runtime carries factorized batches.
-    MorselOptions mopts;
-    mopts.threads = opts_.exec_threads;
-    mopts.factorization = opts_.factorization;
-    mopts.vectorize = opts_.vectorize;
-    MorselExecutor ex(g_, mopts, pstore, pool_.get());
-    ex.set_params(&bound);
-    ex.set_cancel(cancel);
-    ResultTable table;
-    if (pipelines) {
-      table = ex.Execute(root, pipelines);
-    } else {
-      // Ad-hoc plan (a spliced consumer or a sub-pattern subtree): build
-      // its decomposition on the fly, same knobs as planning time.
-      PipelinePlan pp = BuildPipelinePlan(root);
-      ChooseFactorization(&pp, opts_.factorization);
-      table = ex.Execute(root, &pp);
-    }
-    *stats = ex.stats();
-    ObservePartitionRows(*stats);
-    return table;
-  }
-  SingleMachineExecutor ex(g_);
+  // The morsel-driven batch runtime (see docs/executor.md). At one worker
+  // every morsel runs inline on the calling thread; a sharded store scans
+  // partition-granular morsels. An ad-hoc plan (a spliced consumer or a
+  // sub-pattern subtree) comes without `pipelines`; the executor then
+  // builds its decomposition with the same factorization knob.
+  MorselOptions mopts;
+  mopts.threads = opts_.exec_threads;
+  mopts.factorization = opts_.factorization;
+  mopts.vectorize = opts_.vectorize;
+  MorselExecutor ex(g_, mopts, pstore, pool_.get());
   ex.set_params(&bound);
-  ex.set_vectorize(opts_.vectorize);
   ex.set_cancel(cancel);
-  ResultTable table = ex.Execute(root);
+  ResultTable table = ex.Execute(root, pipelines);
   *stats = ex.stats();
+  ObservePartitionRows(*stats);
   return table;
 }
 
@@ -761,9 +741,7 @@ std::string GOptEngine::Explain(const Prepared& prep) const {
         "  vectorize: %s, %zu of %zu operators have a fast path\n",
         opts_.vectorize ? "on" : "off", eligible, total);
   }
-  if (!backend_.distributed &&
-      (opts_.exec_threads != 1 || store ||
-       opts_.factorization == FactorizationMode::kOn)) {
+  if (!backend_.distributed) {
     s += "=== Pipelines (morsel runtime) ===\n";
     s += prep.exec_pipelines
              ? prep.exec_pipelines->ToString()

@@ -9,8 +9,8 @@
 #include "src/common/worker_pool.h"
 #include "src/engine/result_cache.h"
 #include "src/exec/dist_executor.h"
-#include "src/exec/executor.h"
 #include "src/exec/morsel.h"
+#include "src/exec/result.h"
 #include "src/opt/pipeline/pipelines.h"
 #include "src/opt/pipeline/planner_options.h"
 #include "src/opt/pipeline/shared_plan_cache.h"
@@ -130,16 +130,14 @@ struct BatchQuery {
 /// GOptEngine: the end-to-end facade. Planning runs as a declarative pass
 /// pipeline (opt/pipeline) selected by PlannerMode — parse -> RBO -> type
 /// inference -> CBO -> physical conversion — followed by execution on the
-/// configured backend: GraphScope-like distributed, or single-machine via
-/// either the sequential row-at-a-time executor (exec_threads == 1, the
-/// default) or the morsel-driven parallel batch runtime (exec_threads !=
-/// 1; see docs/executor.md). With EngineOptions::partitions > 0 the
-/// engine shards its graph into a PartitionedGraph at construction
+/// configured backend: GraphScope-like distributed, or single-machine on
+/// the morsel-driven batch runtime with exec_threads workers (see
+/// docs/executor.md). With EngineOptions::partitions > 0 the engine
+/// shards its graph into a PartitionedGraph at construction
 /// (docs/storage.md): the distributed backend then runs one worker per
 /// partition with ownership-map exchanges, the single-machine backend
-/// routes to the morsel runtime with partition-granular scan morsels
-/// (even at exec_threads == 1), and the CBO prices communication with
-/// the store's measured edge-cut.
+/// scans partition-granular morsels, and the CBO prices communication
+/// with the store's measured edge-cut.
 ///
 /// Prepared plans are a prepared-statement subsystem, not just a memoizer:
 /// Prepare first auto-parameterizes the query (constant tokens become $__pN
@@ -220,9 +218,8 @@ class GOptEngine {
 
   /// Human-readable plan description (logical + pattern plans + physical +
   /// the per-pass PlanTrace with millisecond timings, per-pattern CBO
-  /// timings, and the plan-cache counters). When the morsel runtime is
-  /// configured (exec_threads != 1 on the single-machine backend), also
-  /// shows the pipeline decomposition the plan executes as.
+  /// timings, and the plan-cache counters). On the single-machine backend
+  /// it also shows the pipeline decomposition the plan executes as.
   std::string Explain(const Prepared& prep) const;
 
   /// Explain plus an "Execution" section for one finished run of the plan:

@@ -5,8 +5,10 @@
 #include <string>
 
 #include "src/common/hash.h"
+#include "src/common/cancel.h"
 #include "src/common/worker_pool.h"
-#include "src/exec/executor.h"
+#include "src/exec/kernels.h"
+#include "src/exec/result.h"
 #include "src/store/partitioned_graph.h"
 
 namespace gopt {

@@ -286,16 +286,6 @@ Batch Kernels::ScanBatch(const PhysOp& op, const ScanMorsel& m, int worker,
   return out;
 }
 
-std::vector<Row> Kernels::Scan(const PhysOp& op) const {
-  // One whole-domain morsel per type keeps the visit order of the
-  // pre-batch scan (types in constraint order, ids ascending within).
-  std::vector<Row> out;
-  for (const ScanMorsel& m : ScanMorsels(op, ~static_cast<size_t>(0))) {
-    ScanBatch(op, m).AppendRowsTo(&out);
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // ExpandEdge (flattened expansion / ExpandInto edge check)
 // ---------------------------------------------------------------------------
@@ -406,12 +396,6 @@ Batch Kernels::ExpandEdgeBatch(const PhysOp& op, const Batch& in,
     close_row();
   }
   return out;
-}
-
-std::vector<Row> Kernels::ExpandEdge(const PhysOp& op,
-                                     const std::vector<Row>& in) const {
-  return ExpandEdgeBatch(op, Batch::FromRows(in, op.children[0]->out_cols.size()))
-      .ToRows();
 }
 
 // ---------------------------------------------------------------------------
@@ -638,13 +622,6 @@ Batch Kernels::ExpandIntersectBatch(const PhysOp& op, const Batch& in,
   return out;
 }
 
-std::vector<Row> Kernels::ExpandIntersect(const PhysOp& op,
-                                          const std::vector<Row>& in) const {
-  return ExpandIntersectBatch(
-             op, Batch::FromRows(in, op.children[0]->out_cols.size()))
-      .ToRows();
-}
-
 // ---------------------------------------------------------------------------
 // PathExpand
 // ---------------------------------------------------------------------------
@@ -742,13 +719,6 @@ Batch Kernels::PathExpandBatch(const PhysOp& op, const Batch& in,
   return out;
 }
 
-std::vector<Row> Kernels::PathExpand(const PhysOp& op,
-                                     const std::vector<Row>& in) const {
-  return PathExpandBatch(op,
-                         Batch::FromRows(in, op.children[0]->out_cols.size()))
-      .ToRows();
-}
-
 // ---------------------------------------------------------------------------
 // Filter / Project / Unfold
 // ---------------------------------------------------------------------------
@@ -831,19 +801,6 @@ std::vector<uint32_t> Kernels::FilterSelection(const PhysOp& op,
 
 void Kernels::FilterBatch(const PhysOp& op, Batch* in) const {
   in->SetSelection(FilterSelection(op, *in));
-}
-
-std::vector<Row> Kernels::Filter(const PhysOp& op,
-                                 const std::vector<Row>& in) const {
-  // Row-native fast path (not a batch adapter): a filter over rows needs
-  // no materialization at all, while the batch boundary would copy every
-  // input row just to drop most of them.
-  ColMap cmap = MakeColMap(op.children[0]->out_cols);
-  std::vector<Row> out;
-  for (const Row& r : in) {
-    if (eval_.EvalBool(op.predicate, r, cmap)) out.push_back(r);
-  }
-  return out;
 }
 
 Batch Kernels::ProjectBatch(const PhysOp& op, const Batch& in) const {
@@ -944,24 +901,6 @@ Batch Kernels::ProjectBatch(const PhysOp& op, const Batch& in) const {
   return out;
 }
 
-std::vector<Row> Kernels::Project(const PhysOp& op,
-                                  const std::vector<Row>& in) const {
-  // Row-native fast path: projection emits one output row per input row,
-  // so the batch boundary would only add two materializations.
-  ColMap cmap = MakeColMap(op.children[0]->out_cols);
-  std::vector<Row> out;
-  out.reserve(in.size());
-  for (const Row& r : in) {
-    Row nr;
-    if (op.append) nr = r;
-    for (const auto& item : op.items) {
-      nr.push_back(eval_.Eval(*item.expr, r, cmap));
-    }
-    out.push_back(std::move(nr));
-  }
-  return out;
-}
-
 Batch Kernels::UnfoldBatch(const PhysOp& op, const Batch& in,
                            bool factorize) const {
   ColMap cmap = MakeColMap(op.children[0]->out_cols);
@@ -997,12 +936,6 @@ Batch Kernels::UnfoldBatch(const PhysOp& op, const Batch& in,
     }
   }
   return out;
-}
-
-std::vector<Row> Kernels::Unfold(const PhysOp& op,
-                                 const std::vector<Row>& in) const {
-  return UnfoldBatch(op, Batch::FromRows(in, op.children[0]->out_cols.size()))
-      .ToRows();
 }
 
 // ---------------------------------------------------------------------------
@@ -1381,14 +1314,6 @@ Batch Kernels::JoinProbeBatch(const PhysOp& op, const Batch& left,
     }
   }
   return out;
-}
-
-std::vector<Row> Kernels::Join(const PhysOp& op, const std::vector<Row>& left,
-                               const std::vector<Row>& right) const {
-  JoinHashTable ht = BuildJoinTable(op, right);
-  return JoinProbeBatch(
-             op, Batch::FromRows(left, op.children[0]->out_cols.size()), ht)
-      .ToRows();
 }
 
 // ---------------------------------------------------------------------------

@@ -35,19 +35,15 @@ struct JoinHashTable {
   std::vector<int> rappend;     ///< build columns appended to the output
 };
 
-/// Operator kernels shared by every runtime. The streaming kernels (scan,
+/// Operator kernels shared by both runtimes. The streaming kernels (scan,
 /// expansions, filter, project, unfold, join probe) are batch-native —
 /// they consume and produce columnar Batches, filters refining the
 /// selection vector in place — and are what the morsel-driven runtime
 /// (src/exec/morsel.cc) and the distributed runtime
-/// (src/exec/dist_executor.cc) call directly. The row-vector entry points
-/// used by the sequential executor share the same semantics: most are
-/// lossless adapters over the batch kernels (converting at the boundary,
-/// one extra value copy each way), while the two where that boundary
-/// would dominate — Filter and Project — keep trivially equivalent
-/// row-native bodies. The blocking kernels (aggregate, sort/limit, dedup,
-/// union, join build) materialize by nature and stay row-based, except
-/// AggregateBatchRows, which consumes batches directly.
+/// (src/exec/dist_executor.cc) call directly. The blocking kernels
+/// (aggregate, sort/limit, dedup, union, join build) materialize by nature
+/// and stay row-based, except AggregateBatchRows, which consumes batches
+/// directly.
 class Kernels {
  public:
   /// `pstore` (optional) attaches a sharded store. All graph reads are
@@ -150,26 +146,9 @@ class Kernels {
   std::vector<Row> AggregateBatchRows(const PhysOp& op,
                                       const std::vector<Batch>& in) const;
 
-  // ---- row-vector adapters (sequential executor) ----
-
-  /// Whole-domain vertex scan.
-  std::vector<Row> Scan(const PhysOp& op) const;
-
-  std::vector<Row> ExpandEdge(const PhysOp& op, const std::vector<Row>& in) const;
-  std::vector<Row> ExpandIntersect(const PhysOp& op,
-                                   const std::vector<Row>& in) const;
-  std::vector<Row> PathExpand(const PhysOp& op, const std::vector<Row>& in) const;
-  std::vector<Row> Filter(const PhysOp& op, const std::vector<Row>& in) const;
-  std::vector<Row> Project(const PhysOp& op, const std::vector<Row>& in) const;
-  std::vector<Row> Unfold(const PhysOp& op, const std::vector<Row>& in) const;
-
-  std::vector<Row> Join(const PhysOp& op, const std::vector<Row>& left,
-                        const std::vector<Row>& right) const;
-
   /// Union splice: appends `right` (column-mapped into the union layout)
-  /// to `left`, deduplicating when `op.union_distinct`. Shared by the
-  /// sequential executor and the morsel runtime's union sink so the two
-  /// can never diverge.
+  /// to `left`, deduplicating when `op.union_distinct` (the morsel
+  /// runtime's union sink).
   std::vector<Row> Union(const PhysOp& op, std::vector<Row> left,
                          std::vector<Row> right) const;
 

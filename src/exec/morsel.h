@@ -4,10 +4,11 @@
 #include <map>
 #include <vector>
 
+#include "src/common/cancel.h"
 #include "src/common/worker_pool.h"
-#include "src/exec/executor.h"
 #include "src/exec/kernels.h"
 #include "src/exec/pipeline.h"
+#include "src/exec/result.h"
 #include "src/opt/pipeline/planner_options.h"
 
 namespace gopt {
@@ -75,13 +76,15 @@ class MorselQueue {
 /// With threads == 1 the runtime is fully sequential and deterministic;
 /// with N threads, results are identical (morsel outputs are reassembled
 /// in morsel order before any order-sensitive sink runs) and per-worker
-/// ExecStats are merged after every pipeline. The engine routes Execute
-/// here when EngineOptions::exec_threads != 1; differential tests
-/// (tests/batch_exec_test.cc) hold it equal to SingleMachineExecutor on
-/// every bundled workload.
+/// ExecStats are merged after every pipeline. The engine runs every
+/// single-machine Execute here, with EngineOptions::exec_threads
+/// workers; differential tests (tests/batch_exec_test.cc) hold it equal
+/// across thread counts and to the distributed executor on the same
+/// plans.
 ///
-/// Unlike the Neo4j-like SingleMachineExecutor, this runtime implements
-/// the full operator repertoire, including ExpandIntersect.
+/// It implements the full operator repertoire, including
+/// ExpandIntersect; which operators a plan may contain is the backend's
+/// plan-time choice (PhysicalSpec), not the runtime's.
 ///
 /// Thread-confinement: one instance per Execute call — same contract as
 /// the other executors. The pool it runs on is shared and outlives it.

@@ -46,9 +46,7 @@ enum class MatchSemantics { kHomomorphism, kNoRepeatedEdge };
 /// binding (docs/factorization.md):
 ///  - kAuto: per pipeline, the CBO decides from estimated fan-outs and
 ///    sink liveness (src/opt/factorization.cc);
-///  - kOn:   every pipeline with an expansion runs factorized, and the
-///    engine routes execution through the morsel runtime even at
-///    exec_threads == 1 so the representation is exercised;
+///  - kOn:   every pipeline with an expansion runs factorized;
 ///  - kOff:  always flat (the pre-factorization behavior).
 /// Results are differential-tested identical across all three settings.
 enum class FactorizationMode { kAuto, kOn, kOff };
@@ -94,12 +92,13 @@ struct EngineOptions {
   int cbo_pattern_threads = 0;
 
   /// Worker threads of the morsel-driven batch runtime (the execution-side
-  /// counterpart of cbo_pattern_threads). Applies to the single-machine
-  /// backend only (the distributed backend has its own worker model):
-  ///  - 1 (default): the sequential row-at-a-time SingleMachineExecutor —
-  ///    exactly the pre-batch execution path;
-  ///  - >= 2: the morsel-driven MorselExecutor with that many workers;
-  ///  - 0 / negative: MorselExecutor sized to hardware concurrency.
+  /// counterpart of cbo_pattern_threads), which runs every single-machine
+  /// execution. Applies to the single-machine backend only (the
+  /// distributed backend has its own worker model):
+  ///  - 1 (default): one morsel worker — every morsel runs inline on the
+  ///    calling thread;
+  ///  - >= 2: that many morsel workers;
+  ///  - 0 / negative: sized to hardware concurrency.
   /// Never changes query results (differential-tested per release), so it
   /// is excluded from OptionsFingerprint like the other non-plan-affecting
   /// knobs.
@@ -107,8 +106,8 @@ struct EngineOptions {
 
   /// Sharded graph storage (src/store/, docs/storage.md): number of
   /// partitions the engine shards its graph into at construction.
-  ///  - 0 (default): the unpartitioned legacy store — the distributed
-  ///    backend simulates worker partitioning per operator (pre-sharding
+  ///  - 0 (default): the unpartitioned store — the distributed backend
+  ///    simulates worker partitioning per operator (pre-sharding
   ///    behavior), the morsel runtime slices the global scan domain;
   ///  - >= 1: a PartitionedGraph is built once; the distributed backend
   ///    runs one worker per partition with ownership-map exchanges (its

@@ -152,7 +152,7 @@ class Session : public std::enable_shared_from_this<Session> {
 /// RunAsync schedules planning + execution on a fixed-size worker pool
 /// behind a bounded admission queue, enforces per-query time/row budgets
 /// via cooperative cancellation (CancelToken through Prepare/Execute into
-/// all three runtimes), multiplexes Sessions over the pool, and exposes a
+/// both runtimes), multiplexes Sessions over the pool, and exposes a
 /// Prometheus-style metrics surface (MetricsRegistry::Render).
 ///
 /// Thread-safety: RunAsync/Submit/OpenSession/metrics are safe from any

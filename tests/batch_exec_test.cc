@@ -1,9 +1,10 @@
 // Differential suite for the morsel-driven batch runtime: every bundled
-// workload query runs through both the sequential row-at-a-time executor
-// and the batch runtime (exec_threads 1 and 4) and must produce the same
-// rows; plus unit coverage for Batch row round-trips, selection-vector
-// edge cases, pipeline decomposition, the work-stealing morsel queue, and
-// ExecStats::rows_produced parity across all runtimes.
+// workload query runs through the batch runtime at exec_threads 1 and 4
+// and must produce the same rows, and the one-worker runtime is held
+// against the distributed executor's independent operator walker on the
+// same plans; plus unit coverage for Batch row round-trips,
+// selection-vector edge cases, pipeline decomposition, the work-stealing
+// morsel queue, and ExecStats::rows_produced parity across runtimes.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -221,7 +222,7 @@ TEST_F(BatchExecTest, JoinBuildSideIsADependencyPipeline) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: every bundled workload through both runtimes
+// Differential: every bundled workload at one and at four workers
 // ---------------------------------------------------------------------------
 
 void ExpectRuntimesAgree(GOptEngine& seq, GOptEngine& par,
@@ -230,8 +231,8 @@ void ExpectRuntimesAgree(GOptEngine& seq, GOptEngine& par,
   ASSERT_NO_THROW(a = seq.Run(query)) << name << ": " << query;
   ASSERT_NO_THROW(b = par.Run(query)) << name << ": " << query;
   // The morsel runtime reassembles morsel outputs in source order, so
-  // results match the sequential executor exactly — including sort
-  // tie-breaks, which makes SameRows safe even under ORDER/LIMIT.
+  // results are thread-count-invariant — including sort tie-breaks,
+  // which makes SameRows safe even under ORDER/LIMIT.
   EXPECT_TRUE(a.SameRows(b)) << name << ": seq=" << a.NumRows()
                              << " morsel=" << b.NumRows();
   EXPECT_EQ(a.stats.rows_produced, b.stats.rows_produced)
@@ -250,9 +251,10 @@ TEST_F(BatchExecTest, DifferentialAllWorkloadsFourThreads) {
 }
 
 TEST_F(BatchExecTest, DifferentialMorselSingleThread) {
-  // exec_threads == 1 routes to SingleMachineExecutor; the batch runtime
-  // at one thread must still match it (this is the claim that lets the
-  // engine keep the sequential path until the batch runtime is proven).
+  // The engine's default path is the morsel runtime at one worker. Hold
+  // it against an independent operator walker — the distributed executor
+  // at one worker, which visits rows in the same source order, so ORDER /
+  // LIMIT tie-breaks agree too — on the very plans the engine runs.
   auto seq = MakeEngine(1);
   for (const auto* set : {&QcQueries(), &QrQueries()}) {
     for (const auto& wq : *set) {
@@ -260,9 +262,9 @@ TEST_F(BatchExecTest, DifferentialMorselSingleThread) {
       ASSERT_FALSE(prep.invalid) << wq.name;
       ParamMap bound = prep.params;
 
-      SingleMachineExecutor row_ex(ldbc_->graph.get());
-      row_ex.set_params(&bound);
-      ResultTable want = row_ex.Execute(prep.physical);
+      DistributedExecutor dist(ldbc_->graph.get(), 1);
+      dist.set_params(&bound);
+      ResultTable want = dist.Execute(prep.physical);
 
       MorselOptions mopts;
       mopts.threads = 1;
@@ -271,10 +273,10 @@ TEST_F(BatchExecTest, DifferentialMorselSingleThread) {
       ResultTable got = batch_ex.Execute(prep.physical);
 
       EXPECT_TRUE(want.SameRows(got))
-          << wq.name << ": row=" << want.NumRows()
+          << wq.name << ": dist=" << want.NumRows()
           << " batch=" << got.NumRows();
-      EXPECT_EQ(row_ex.stats().rows_produced, batch_ex.stats().rows_produced)
-          << wq.name;
+      EXPECT_EQ(dist.stats().rows_produced, batch_ex.stats().rows_produced)
+          << wq.name << ": rows_produced parity (dist vs batch)";
     }
   }
 }
@@ -295,9 +297,10 @@ TEST_F(BatchExecTest, DifferentialStPathQuery) {
 
 TEST_F(BatchExecTest, MorselRuntimeRunsExpandIntersectPlans) {
   // Plans lowered for the GraphScope-like backend may contain WCOJ
-  // ExpandIntersect steps. The sequential Neo4j-like executor rejects
-  // them; the morsel runtime implements the full repertoire — compare it
-  // against the distributed executor on those very plans.
+  // ExpandIntersect steps (the Neo4j-like backend never gets them: its
+  // physical conversion only emits ExpandInto). The morsel runtime
+  // implements the full repertoire — compare it against the distributed
+  // executor on those very plans.
   GOptEngine gs(ldbc_->graph.get(), BackendSpec::GraphScopeLike(4));
   gs.SetGlogue(*glogue_);
   WorkerPool pool(3);
@@ -364,10 +367,13 @@ TEST_F(BatchExecTest, OutcomeCarriesPipelineStats) {
   EXPECT_NE(explain.find("=== Execution ==="), std::string::npos);
   EXPECT_NE(explain.find("morsels"), std::string::npos);
 
-  // The sequential engine reports no pipelines (row runtime).
+  // The default one-worker engine runs the same runtime and reports its
+  // pipelines too, each run by the one worker.
   auto seq = MakeEngine(1);
   ExecOutcome seq_out = seq->Run("MATCH (p:Person) RETURN p");
-  EXPECT_TRUE(seq_out.stats.pipelines.empty());
+  ASSERT_FALSE(seq_out.stats.pipelines.empty());
+  for (const auto& p : seq_out.stats.pipelines) EXPECT_EQ(p.threads, 1);
+  EXPECT_EQ(seq_out.stats.pipelines.back().rows_out, seq_out.NumRows());
 }
 
 TEST_F(BatchExecTest, AutoThreadCountIsHardwareSized) {

@@ -185,7 +185,7 @@ TEST(EndToEnd, UnfoldCollectRoundTrip) {
   collect(plan);
   PhysicalConverter conv(&g->schema());
   auto phys = conv.Convert(plan, plans);
-  SingleMachineExecutor ex(g.get());
+  MorselExecutor ex(g.get());
   auto r = ex.Execute(phys);
   EXPECT_EQ(r.NumRows(), 3u);  // one row per unfolded element
 }

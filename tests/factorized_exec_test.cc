@@ -6,7 +6,7 @@
 // identical ResultTables for every bundled workload across
 // factorization {off, on, auto} x exec_threads {1, 4} x partitions
 // {0, 4}, with rows_produced parity (logical bindings, not group
-// entries) held across all three runtimes.
+// entries) held across both runtimes.
 #include <gtest/gtest.h>
 
 #include "src/engine/engine.h"
@@ -424,8 +424,8 @@ TEST_F(FactorizedExecTest, DifferentialAllWorkloadsModesThreadsPartitions) {
   }
 }
 
-// rows_produced parity for factorized operators across all three runtimes,
-// on the SAME physical plan (different backends plan differently, so the
+// rows_produced parity for factorized operators across both runtimes
+// (distributed, flat morsel, factorized morsel), on the SAME physical plan (different backends plan differently, so the
 // comparison must hold the plan fixed): the factorized morsel runtime must
 // report logical bindings represented — one count per row an operator
 // stands for, never per group entry — matching the distributed executor

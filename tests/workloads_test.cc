@@ -3,6 +3,9 @@
 // plan (same results, different cost).
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <set>
+
 #include "src/engine/engine.h"
 #include "src/ldbc/ldbc.h"
 #include "src/workloads/queries.h"
@@ -138,6 +141,47 @@ TEST_F(WorkloadTest, QrGremlinRuns) {
     ASSERT_NO_THROW(r = engine.Run(Q(wq.gremlin), Language::kGremlin))
         << wq.name << ": " << Q(wq.gremlin);
   }
+}
+
+// Counts kExpandIntersect nodes of a physical plan (DAG nodes once).
+size_t CountIntersects(const PhysOpPtr& root) {
+  std::set<const PhysOp*> seen;
+  size_t n = 0;
+  std::function<void(const PhysOpPtr&)> walk = [&](const PhysOpPtr& op) {
+    if (!op || !seen.insert(op.get()).second) return;
+    if (op->kind == PhysOpKind::kExpandIntersect) ++n;
+    for (const PhysOpPtr& c : op->children) walk(c);
+  };
+  walk(root);
+  return n;
+}
+
+TEST_F(WorkloadTest, Neo4jLikePlansNeverContainExpandIntersect) {
+  // The backend's operator repertoire is a plan-time registration
+  // (PhysicalSpec, paper Section 6.3.2): the Neo4j-like backend registers
+  // ExpandInto only, so physical conversion must never emit the WCOJ
+  // intersect for it — with or without a sharded store. The GraphScope-like
+  // backend registers it, which keeps the check from passing vacuously.
+  size_t gs_intersects = 0;
+  for (int partitions : {0, 4}) {
+    EngineOptions opts;
+    opts.partitions = partitions;
+    GOptEngine neo(ldbc_->graph.get(), BackendSpec::Neo4jLike(), opts);
+    neo.SetGlogue(*glogue_);
+    GOptEngine gs(ldbc_->graph.get(), BackendSpec::GraphScopeLike(4), opts);
+    gs.SetGlogue(*glogue_);
+    for (const auto* set : {&IcQueries(), &BiQueries(), &QrQueries(),
+                            &QtQueries(), &QcQueries()}) {
+      for (const auto& wq : *set) {
+        Prepared prep = neo.Prepare(Q(wq.cypher));
+        ASSERT_FALSE(prep.invalid) << wq.name;
+        EXPECT_EQ(CountIntersects(prep.physical), 0u)
+            << wq.name << " (partitions " << partitions << ")";
+        gs_intersects += CountIntersects(gs.Prepare(Q(wq.cypher)).physical);
+      }
+    }
+  }
+  EXPECT_GT(gs_intersects, 0u);
 }
 
 TEST_F(WorkloadTest, StQueryFindsPaths) {
