@@ -130,6 +130,8 @@ int main() {
     GlogueQuery gq(glogue.get(), &g.schema(), true);
     BackendSpec backend = BackendSpec::GraphScopeLike(4);
     GraphOptimizer opt(&gq, &backend);
+    const auto store = PartitionedGraph::Build(&g, PartitionPolicy::kHash,
+                                               backend.num_workers);
     auto time_manual = [&](int split) {
       CypherParser parser(&g.schema());
       auto logical = parser.Parse(q);
@@ -146,7 +148,7 @@ int main() {
       plans[match.get()] = SplitPlan(match->pattern, split, opt);
       PhysicalConverter conv(&g.schema());
       auto phys = conv.Convert(logical, plans);
-      DistributedExecutor ex(&g, 4);
+      DistributedExecutor ex(&g, *store);
       std::vector<double> ms;
       for (int i = 0; i < repeats; ++i) {
         auto t0 = std::chrono::steady_clock::now();

@@ -14,6 +14,18 @@
 
 namespace gopt {
 
+namespace {
+
+/// Partition count of the engine's sharded store: `opts.partitions` when
+/// set, else the distributed backend's `num_workers`; 0 (no store) for a
+/// single-machine backend at `partitions = 0`.
+int StorePartitions(const BackendSpec& backend, const EngineOptions& opts) {
+  if (opts.partitions > 0) return opts.partitions;
+  return backend.distributed ? std::max(1, backend.num_workers) : 0;
+}
+
+}  // namespace
+
 GOptEngine::GOptEngine(const PropertyGraph* g, BackendSpec backend,
                        EngineOptions opts)
     : g_(g),
@@ -36,21 +48,20 @@ GOptEngine::GOptEngine(const PropertyGraph* g, BackendSpec backend,
                         : nullptr),
       // One thread per partition or morsel worker beyond the caller's own.
       pool_(std::make_unique<WorkerPool>(
-          std::max(opts.partitions,
+          std::max(StorePartitions(backend_, opts_),
                    opts.exec_threads > 0
                        ? opts.exec_threads
                        : static_cast<int>(std::max(
                              1u, std::thread::hardware_concurrency()))) -
           1)) {
-  if (opts_.partitions > 0) {
+  const int P = StorePartitions(backend_, opts_);
+  if (P > 0) {
     PartitionerOptions popts;
     popts.refine_sweeps = opts_.partition_refine_sweeps;
     popts.balance_cap = opts_.partition_balance_cap;
     store_state_ = MakeStoreState(
-        PartitionedGraph::Build(g_, opts_.partition_policy, opts_.partitions,
-                                popts),
-        *g_);
-    observed_rows_.assign(static_cast<size_t>(opts_.partitions), 0);
+        PartitionedGraph::Build(g_, opts_.partition_policy, P, popts), *g_);
+    observed_rows_.assign(static_cast<size_t>(P), 0);
   }
 }
 
@@ -104,7 +115,8 @@ RebalanceReport GOptEngine::RebalancePartitions(const RebalanceOptions& opts) {
   RebalanceReport rep;
   std::shared_ptr<const StoreState> ss = SnapshotStore();
   if (!ss) {
-    rep.reason = "unpartitioned engine (EngineOptions::partitions == 0)";
+    rep.reason =
+        "unpartitioned engine (single-machine backend, partitions == 0)";
     return rep;
   }
   const PartitionedGraph& cur = *ss->store;
@@ -368,10 +380,9 @@ ResultTable GOptEngine::RunPhysical(const PhysOpPtr& root,
   // out from under the executor).
   const PartitionedGraph* pstore = store ? store->store.get() : nullptr;
   if (backend_.distributed) {
-    // With a sharded store the executor runs one worker per partition
-    // (ownership-map exchanges); otherwise the legacy per-operator
-    // simulated partitioning over backend_.num_workers.
-    DistributedExecutor ex(g_, backend_.num_workers, pstore, pool_.get());
+    // One worker per store partition, ownership-map exchanges. A
+    // distributed engine always has a store (see StorePartitions).
+    DistributedExecutor ex(g_, *pstore, pool_.get());
     ex.set_params(&bound);
     ex.set_vectorize(opts_.vectorize);
     ex.set_cancel(cancel);

@@ -132,12 +132,13 @@ struct BatchQuery {
 /// inference -> CBO -> physical conversion — followed by execution on the
 /// configured backend: GraphScope-like distributed, or single-machine on
 /// the morsel-driven batch runtime with exec_threads workers (see
-/// docs/executor.md). With EngineOptions::partitions > 0 the engine
-/// shards its graph into a PartitionedGraph at construction
-/// (docs/storage.md): the distributed backend then runs one worker per
-/// partition with ownership-map exchanges, the single-machine backend
-/// scans partition-granular morsels, and the CBO prices communication
-/// with the store's measured edge-cut.
+/// docs/executor.md). The distributed backend always shards its graph
+/// into a PartitionedGraph at construction (docs/storage.md) —
+/// EngineOptions::partitions partitions, or BackendSpec::num_workers at
+/// partitions == 0 — and runs one worker per partition with ownership-map
+/// exchanges; the single-machine backend shards only at partitions > 0
+/// and then scans partition-granular morsels. Whenever a store exists the
+/// CBO prices communication with its measured edge-cut.
 ///
 /// Prepared plans are a prepared-statement subsystem, not just a memoizer:
 /// Prepare first auto-parameterizes the query (constant tokens become $__pN
@@ -278,8 +279,8 @@ class GOptEngine {
 
   const BackendSpec& backend() const { return backend_; }
   const PropertyGraph& graph() const { return *g_; }
-  /// The engine's current sharded store (null when
-  /// EngineOptions::partitions == 0). Returned by value: the engine's
+  /// The engine's current sharded store (null for a single-machine backend
+  /// at EngineOptions::partitions == 0). Returned by value: the engine's
   /// reference may be swapped by a concurrent RebalancePartitions, and the
   /// snapshot you hold stays valid (each store generation is immutable).
   std::shared_ptr<const PartitionedGraph> partitioned_store() const;
@@ -370,8 +371,8 @@ class GOptEngine {
 
   /// Guards store_state_ swaps; mutable so const readers can snapshot.
   mutable std::mutex store_mu_;
-  /// Current store generation (null when opts_.partitions == 0); replaced
-  /// wholesale by RebalancePartitions.
+  /// Current store generation (null for a single-machine backend at
+  /// opts_.partitions == 0); replaced wholesale by RebalancePartitions.
   std::shared_ptr<const StoreState> store_state_;
   /// Accumulated per-partition row observations feeding the rebalancer;
   /// guarded by obs_mu_, reset on successful migration.
@@ -379,10 +380,10 @@ class GOptEngine {
   mutable std::vector<uint64_t> observed_rows_;
 
   /// The persistent worker threads both parallel runtimes run on
-  /// (docs/concurrency.md): max(partitions, resolved exec_threads) - 1 of
-  /// them, started here once, so Execute never starts a thread; each
+  /// (docs/concurrency.md): max(store partitions, resolved exec_threads)
+  /// - 1 of them, started here once, so Execute never starts a thread; each
   /// Execute's calling thread works alongside them. Zero threads (every
-  /// stage inline) at the default options.
+  /// stage inline) for a single-machine backend at the default options.
   std::unique_ptr<WorkerPool> pool_;
 
   /// Guards the lazily built statistics handles and the epoch; mutable so

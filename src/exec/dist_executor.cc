@@ -60,12 +60,10 @@ ResultTable DistributedExecutor::Execute(const PhysOpPtr& root) {
   owner_tag_.clear();
   consumers_.clear();
   stats_ = ExecStats{};
-  if (pg_ != nullptr) {
-    stats_.partitions = workers_;
-    stats_.store_cut_edges = pg_->total_cut_edges();
-    stats_.store_vertex_balance = pg_->VertexBalance();
-    stats_.partition_rows.assign(static_cast<size_t>(workers_), 0);
-  }
+  stats_.partitions = workers_;
+  stats_.store_cut_edges = pg_.total_cut_edges();
+  stats_.store_vertex_balance = pg_.VertexBalance();
+  stats_.partition_rows.assign(static_cast<size_t>(workers_), 0);
   CountConsumers(root, &consumers_);
   PartsPtr parts = Run(root);
   // Fresh executor per Execute, so the kernel dispatch counters started at
@@ -115,13 +113,6 @@ DistributedExecutor::Parts DistributedExecutor::MapRows(
     }
   });
   return out;
-}
-
-int DistributedExecutor::OwnerOf(const Value& v) const {
-  if (v.kind() != Value::Kind::kVertex) return 0;
-  const VertexId id = v.AsVertex().id;
-  return pg_ ? pg_->OwnerOf(id)
-             : static_cast<int>(id % static_cast<VertexId>(workers_));
 }
 
 template <typename F>
@@ -193,7 +184,9 @@ DistributedExecutor::Parts DistributedExecutor::ExchangeByKey(
 DistributedExecutor::Parts DistributedExecutor::ExchangeByVertex(Parts in,
                                                                  int idx) {
   return Exchange(std::move(in), [&](const Batch& b, size_t i) -> size_t {
-    return static_cast<size_t>(OwnerOf(b.At(i, static_cast<size_t>(idx))));
+    const Value& v = b.At(i, static_cast<size_t>(idx));
+    if (v.kind() != Value::Kind::kVertex) return 0;
+    return static_cast<size_t>(pg_.OwnerOf(v.AsVertex().id));
   });
 }
 
@@ -242,25 +235,22 @@ DistributedExecutor::PartsPtr DistributedExecutor::Run(const PhysOpPtr& op) {
 
   const size_t W = static_cast<size_t>(workers_);
   const PhysOp* child0 = op->children.empty() ? nullptr : op->children[0].get();
-  // The vertex tag this node's output is ownership-partitioned by
-  // (sharded mode only; "" = none).
+  // The vertex tag this node's output is ownership-partitioned by ("" =
+  // none).
   std::string out_tag;
   auto result = std::make_shared<Parts>(W);
   switch (op->kind) {
     case PhysOpKind::kScanVertices: {
-      // Each worker scans its own vertex partition — no communication.
-      // Sharded: the partition's owned vertex lists, one morsel per
-      // (partition, type), partition-major; legacy: every morsel of the
-      // global domain, filtered to id % W == worker.
+      // Each worker scans its own partition's owned vertex lists (one
+      // morsel per (partition, type), partition-major) — no communication.
       const std::vector<ScanMorsel> morsels =
           k_.ScanMorsels(*op, ~static_cast<size_t>(0));
       size_t domain = 0;
       for (const ScanMorsel& m : morsels) domain += m.end - m.begin;
       ForEachWorker(domain, [&](size_t w) {
         for (const ScanMorsel& m : morsels) {
-          if (pg_ != nullptr && m.partition != static_cast<int>(w)) continue;
-          Batch b = pg_ ? k_.ScanBatch(*op, m)
-                        : k_.ScanBatch(*op, m, static_cast<int>(w), workers_);
+          if (m.partition != static_cast<int>(w)) continue;
+          Batch b = k_.ScanBatch(*op, m);
           if (!b.empty()) (*result)[w].push_back(std::move(b));
         }
       });
@@ -296,24 +286,14 @@ DistributedExecutor::PartsPtr DistributedExecutor::Run(const PhysOpPtr& op) {
           }
         });
       };
-      if (pg_ != nullptr) {
-        // Lazy exchange: co-locate the input with the expansion source's
-        // owner (a no-op when the stream already is), then expand in
-        // place. The output stays partitioned by the source tag — the
-        // newly bound vertex ships only if a later operator expands from
-        // it, so a chain's final expansion moves no rows at all.
-        Parts staged;
-        const Parts* src = StageForExpansion(*op, in, &staged, &out_tag);
-        *result = expand(*src);
-      } else {
-        *result = expand(*in);
-        // Legacy eager placement: rows migrate to the owner of the newly
-        // bound vertex.
-        if (!op->target_bound) {
-          int idx = IndexOf(op->out_cols, op->alias);
-          if (idx >= 0) *result = ExchangeByVertex(std::move(*result), idx);
-        }
-      }
+      // Lazy exchange: co-locate the input with the expansion source's
+      // owner (a no-op when the stream already is), then expand in place.
+      // The output stays partitioned by the source tag — the newly bound
+      // vertex ships only if a later operator expands from it, so a
+      // chain's final expansion moves no rows at all.
+      Parts staged;
+      const Parts* src = StageForExpansion(*op, in, &staged, &out_tag);
+      *result = expand(*src);
       break;
     }
     case PhysOpKind::kSelect: {
@@ -499,14 +479,14 @@ DistributedExecutor::PartsPtr DistributedExecutor::Run(const PhysOpPtr& op) {
   for (size_t w = 0; w < W; ++w) {
     const size_t n = TotalBatchRows((*result)[w]);
     emitted += n;
-    if (pg_ != nullptr) stats_.partition_rows[w] += n;
+    stats_.partition_rows[w] += n;
   }
   stats_.rows_produced += emitted;
   // Charge this operator's emissions against the row budget; the next
   // operator's Check observes a trip.
   cancel_.AddRows(emitted);
   memo_[op.get()] = result;
-  if (pg_ != nullptr) owner_tag_[op.get()] = out_tag;
+  owner_tag_[op.get()] = out_tag;
   return result;
 }
 

@@ -182,12 +182,9 @@ std::vector<ScanMorsel> Kernels::ScanMorsels(const PhysOp& op,
   return out;
 }
 
-Batch Kernels::ScanBatch(const PhysOp& op, const ScanMorsel& m, int worker,
-                         int W) const {
+Batch Kernels::ScanBatch(const PhysOp& op, const ScanMorsel& m) const {
   if (op.kind == PhysOpKind::kCachedScan) {
-    // Emit the morsel's slice of the cached rows verbatim. The legacy
-    // worker/W filter does not apply: the rows are a materialized stream
-    // (the distributed executor slices them round-robin itself). Counts as
+    // Emit the morsel's slice of the cached rows verbatim. Counts as
     // neither dispatch: there is no vectorized-vs-generic choice to make.
     Batch cached(op.out_cols.size());
     for (size_t c = 0; c < op.out_cols.size(); ++c) {
@@ -200,9 +197,6 @@ Batch Kernels::ScanBatch(const PhysOp& op, const ScanMorsel& m, int worker,
   }
   Batch out(1);
   const size_t domain = m.end - m.begin;
-  // The id % W filter is the legacy simulated partitioning; partitioned
-  // morsels carry real ownership, so it must never drop their vertices.
-  const bool simulated = m.partition < 0 && W > 1;
 
   // Vectorized path: when every pushed predicate compiles (trivially when
   // there are none), collect the candidate ids, filter the id list through
@@ -225,24 +219,17 @@ Batch Kernels::ScanBatch(const PhysOp& op, const ScanMorsel& m, int worker,
       vec_dispatch_.fetch_add(1, std::memory_order_relaxed);
       std::vector<VertexId> vids;
       vids.reserve(domain);
-      auto push = [&](VertexId v) {
-        if (simulated &&
-            static_cast<int>(v % static_cast<VertexId>(W)) != worker) {
-          return;
-        }
-        vids.push_back(v);
-      };
       if (m.partition >= 0) {
         auto span = m.all ? pstore_->Vertices(m.partition)
                           : pstore_->VerticesOfType(m.partition, m.type);
-        for (size_t i = m.begin; i < m.end; ++i) push(span[i]);
+        vids.assign(span.begin() + m.begin, span.begin() + m.end);
       } else if (m.all) {
         for (size_t i = m.begin; i < m.end; ++i) {
-          push(static_cast<VertexId>(i));
+          vids.push_back(static_cast<VertexId>(i));
         }
       } else {
         auto span = g_->VerticesOfType(m.type);
-        for (size_t i = m.begin; i < m.end; ++i) push(span[i]);
+        vids.assign(span.begin() + m.begin, span.begin() + m.end);
       }
       // Applying the predicates list-at-a-time (instead of all predicates
       // per vertex) selects the same final set: predicates have no side
@@ -258,10 +245,6 @@ Batch Kernels::ScanBatch(const PhysOp& op, const ScanMorsel& m, int worker,
   ColMap self{{op.alias, 0}};
   Row row(1);
   auto try_vertex = [&](VertexId v) {
-    if (simulated &&
-        static_cast<int>(v % static_cast<VertexId>(W)) != worker) {
-      return;
-    }
     row[0] = Value(VertexRef{v});
     for (const auto& p : op.vertex_preds) {
       if (!eval_.EvalBool(p, row, self)) return;
@@ -270,8 +253,7 @@ Batch Kernels::ScanBatch(const PhysOp& op, const ScanMorsel& m, int worker,
   };
   if (m.partition >= 0) {
     // Partition-local domain: the slice indexes the owned vertex list of
-    // one shard (real ownership — the legacy worker/W filter is the
-    // simulated partitioning and does not apply).
+    // one shard.
     auto span = m.all ? pstore_->Vertices(m.partition)
                       : pstore_->VerticesOfType(m.partition, m.type);
     for (size_t i = m.begin; i < m.end; ++i) try_vertex(span[i]);

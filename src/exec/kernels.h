@@ -66,11 +66,9 @@ class Kernels {
   std::vector<ScanMorsel> ScanMorsels(const PhysOp& op,
                                       size_t morsel_rows) const;
 
-  /// Scans one morsel; with W > 1 only vertices owned by `worker` (id % W,
-  /// the distributed runtime's legacy simulated partitioning — partitioned
-  /// morsels carry real ownership instead and ignore worker/W).
-  Batch ScanBatch(const PhysOp& op, const ScanMorsel& m, int worker = 0,
-                  int W = 1) const;
+  /// Scans one morsel: the vertices of its slice that pass the scan's
+  /// pushed predicates.
+  Batch ScanBatch(const PhysOp& op, const ScanMorsel& m) const;
 
   /// The expansion kernels accept factorized input transparently (values
   /// resolve through the group mapping). With `factorize` they also emit
@@ -154,7 +152,7 @@ class Kernels {
 
   const ExprEval& eval() const { return eval_; }
   const PropertyGraph& graph() const { return *g_; }
-  /// The attached sharded store, or null on the legacy global store.
+  /// The attached sharded store, or null on the global store.
   const PartitionedGraph* pstore() const { return pstore_; }
 
   /// Installs execution-time parameter bindings on the evaluator (see

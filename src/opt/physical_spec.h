@@ -88,9 +88,9 @@ class HashJoinSpec : public JoinSpec {
 
 /// Communication profile of the store the CBO prices exchanges against —
 /// how the per-partition cardinality statistics of a sharded store
-/// (src/store/PartitionStats) feed plan costing. Without a profile every
-/// exchanged row is charged (the paper's model over the simulated
-/// per-operator re-hash); with one, vertex-ownership exchanges charge only
+/// (src/store/PartitionStats) feed plan costing. Without a profile (no
+/// store is attached) every exchanged row is charged, the paper's model;
+/// with one, vertex-ownership exchanges charge only
 /// the measured edge-cut fraction of the traversed edge types, and key
 /// re-hash exchanges charge the (P-1)/P fraction that actually moves.
 struct CommProfile {

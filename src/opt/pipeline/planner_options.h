@@ -93,29 +93,30 @@ struct EngineOptions {
 
   /// Worker threads of the morsel-driven batch runtime (the execution-side
   /// counterpart of cbo_pattern_threads), which runs every single-machine
-  /// execution. Applies to the single-machine backend only (the
-  /// distributed backend has its own worker model):
+  /// execution (the distributed backend runs one worker per partition):
   ///  - 1 (default): one morsel worker — every morsel runs inline on the
   ///    calling thread;
   ///  - >= 2: that many morsel workers;
   ///  - 0 / negative: sized to hardware concurrency.
-  /// Never changes query results (differential-tested per release), so it
-  /// is excluded from OptionsFingerprint like the other non-plan-affecting
-  /// knobs.
+  /// The engine's worker pool is sized from it (and the store's partition
+  /// count) once at construction. Never changes query results
+  /// (differential-tested per release), so it is excluded from
+  /// OptionsFingerprint like the other non-plan-affecting knobs.
   int exec_threads = 1;
 
   /// Sharded graph storage (src/store/, docs/storage.md): number of
-  /// partitions the engine shards its graph into at construction.
-  ///  - 0 (default): the unpartitioned store — the distributed backend
-  ///    simulates worker partitioning per operator (pre-sharding
-  ///    behavior), the morsel runtime slices the global scan domain;
-  ///  - >= 1: a PartitionedGraph is built once; the distributed backend
-  ///    runs one worker per partition with ownership-map exchanges (its
-  ///    num_workers is overridden), and the morsel runtime scans
-  ///    partition-granular morsels. Results are differential-tested equal
-  ///    across partition counts.
-  /// Unlike the thread knobs this IS plan-affecting: the CBO prices
-  /// communication with the store's measured edge-cut, so it is part of
+  /// partitions the engine shards its graph into at construction. The
+  /// distributed backend always runs on a PartitionedGraph, one worker per
+  /// partition with ownership-map exchanges; the morsel runtime scans
+  /// partition-granular morsels when a store exists.
+  ///  - 0 (default): BackendSpec::num_workers partitions for the
+  ///    distributed backend; no store for the single-machine backend (the
+  ///    morsel runtime slices the global scan domain);
+  ///  - >= 1: that many partitions on either backend.
+  /// Results are differential-tested equal across partition counts. Read
+  /// once at construction, like the other partition knobs below. Unlike
+  /// the thread knobs this IS plan-affecting: the CBO prices communication
+  /// with the store's measured edge-cut, so it is part of
   /// OptionsFingerprint.
   int partitions = 0;
   /// Vertex-partitioning policy of the sharded store (hash, range or

@@ -67,6 +67,19 @@ bool HasVectorizedFastPath(PhysOpKind k) {
   }
 }
 
+namespace {
+
+/// Appends " <label> p1 p2 ..." when `preds` is non-empty.
+void AppendPreds(std::string* s, const char* label,
+                 const std::vector<ExprPtr>& preds) {
+  if (preds.empty()) return;
+  *s += " ";
+  *s += label;
+  for (const auto& p : preds) *s += " " + p->ToString();
+}
+
+}  // namespace
+
 std::string PhysOp::ToString(const GraphSchema& schema, int indent) const {
   std::string pad(static_cast<size_t>(indent) * 2, ' ');
   std::string s = pad + PhysOpKindName(kind);
@@ -77,18 +90,19 @@ std::string PhysOp::ToString(const GraphSchema& schema, int indent) const {
       break;
     case PhysOpKind::kScanVertices:
       s += " " + alias + " (" + vtc.ToString(schema, true) + ")";
-      if (!vertex_preds.empty()) {
-        s += " where";
-        for (const auto& p : vertex_preds) s += " " + p->ToString();
-      }
+      AppendPreds(&s, "where", vertex_preds);
       break;
     case PhysOpKind::kExpandEdge: {
       s += target_bound ? "Into " : " ";
       s += from_tag;
       s += (dir == Direction::kIn) ? "<-" : "-";
-      s += "[" + etc_.ToString(schema, false) + "]";
+      s += "[";
+      if (!edge_alias.empty()) s += edge_alias + ":";
+      s += etc_.ToString(schema, false) + "]";
       s += (dir == Direction::kOut) ? "->" : "-";
       s += alias + " (" + vtc.ToString(schema, true) + ")";
+      AppendPreds(&s, "edge where", edge_preds);
+      AppendPreds(&s, "where", vertex_preds);
       break;
     }
     case PhysOpKind::kExpandIntersect: {
@@ -98,8 +112,10 @@ std::string PhysOp::ToString(const GraphSchema& schema, int indent) const {
         s += arms[i].from_tag;
         s += (arms[i].dir == Direction::kIn) ? "<-" : "->";
         s += "[" + arms[i].etc_.ToString(schema, false) + "]";
+        AppendPreds(&s, "edge where", arms[i].edge_preds);
       }
       s += "}";
+      AppendPreds(&s, "where", vertex_preds);
       break;
     }
     case PhysOpKind::kPathExpand:
@@ -107,6 +123,8 @@ std::string PhysOp::ToString(const GraphSchema& schema, int indent) const {
            std::to_string(min_hops) + ".." + std::to_string(max_hops) + "]-" +
            alias;
       if (target_bound) s += " (into)";
+      AppendPreds(&s, "edge where", edge_preds);
+      AppendPreds(&s, "where", vertex_preds);
       break;
     case PhysOpKind::kHashJoin: {
       s += " keys{";

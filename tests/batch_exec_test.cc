@@ -253,16 +253,19 @@ TEST_F(BatchExecTest, DifferentialAllWorkloadsFourThreads) {
 TEST_F(BatchExecTest, DifferentialMorselSingleThread) {
   // The engine's default path is the morsel runtime at one worker. Hold
   // it against an independent operator walker — the distributed executor
-  // at one worker, which visits rows in the same source order, so ORDER /
-  // LIMIT tie-breaks agree too — on the very plans the engine runs.
+  // on a one-partition store, which visits rows in the same source order,
+  // so ORDER / LIMIT tie-breaks agree too — on the very plans the engine
+  // runs.
   auto seq = MakeEngine(1);
+  const auto one = PartitionedGraph::Build(ldbc_->graph.get(),
+                                           PartitionPolicy::kHash, 1);
   for (const auto* set : {&QcQueries(), &QrQueries()}) {
     for (const auto& wq : *set) {
       auto prep = seq->Prepare(Q(wq.cypher));
       ASSERT_FALSE(prep.invalid) << wq.name;
       ParamMap bound = prep.params;
 
-      DistributedExecutor dist(ldbc_->graph.get(), 1);
+      DistributedExecutor dist(ldbc_->graph.get(), *one);
       dist.set_params(&bound);
       ResultTable want = dist.Execute(prep.physical);
 
@@ -303,13 +306,14 @@ TEST_F(BatchExecTest, MorselRuntimeRunsExpandIntersectPlans) {
   // executor on those very plans.
   GOptEngine gs(ldbc_->graph.get(), BackendSpec::GraphScopeLike(4));
   gs.SetGlogue(*glogue_);
+  const auto store = gs.partitioned_store();
   WorkerPool pool(3);
   for (const auto& wq : QcQueries()) {
     auto prep = gs.Prepare(Q(wq.cypher));
     ASSERT_FALSE(prep.invalid) << wq.name;
     ParamMap bound = prep.params;
 
-    DistributedExecutor dist(ldbc_->graph.get(), 4, nullptr, &pool);
+    DistributedExecutor dist(ldbc_->graph.get(), *store, &pool);
     dist.set_params(&bound);
     ResultTable want = dist.Execute(prep.physical);
 

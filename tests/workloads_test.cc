@@ -184,6 +184,24 @@ TEST_F(WorkloadTest, Neo4jLikePlansNeverContainExpandIntersect) {
   EXPECT_GT(gs_intersects, 0u);
 }
 
+TEST_F(WorkloadTest, ExplainShowsExpansionPredicates) {
+  // FilterIntoPattern pushes IC5's `m.joinDate > $minDate` onto the
+  // HAS_MEMBER expansion; the physical plan must show it there.
+  GOptEngine engine(ldbc_->graph.get(), BackendSpec::Neo4jLike());
+  engine.SetGlogue(*glogue_);
+  const WorkloadQuery* ic5 = nullptr;
+  for (const auto& wq : IcQueries()) {
+    if (wq.name == "IC5") ic5 = &wq;
+  }
+  ASSERT_NE(ic5, nullptr);
+  const std::string explain = engine.Explain(engine.Prepare(Q(ic5->cypher)));
+  const size_t begin = explain.find("=== Physical plan");
+  ASSERT_NE(begin, std::string::npos);
+  const std::string physical =
+      explain.substr(begin, explain.find("\n===", begin) - begin);
+  EXPECT_NE(physical.find("joinDate"), std::string::npos) << physical;
+}
+
 TEST_F(WorkloadTest, StQueryFindsPaths) {
   auto fraud = GenerateFraud(2000, 4.0, 9);
   GOptEngine engine(fraud.graph.get(), BackendSpec::GraphScopeLike(4));
