@@ -1,6 +1,7 @@
 #include "src/exec/batch.h"
 
 #include <cassert>
+#include <iterator>
 
 namespace gopt {
 
@@ -204,15 +205,63 @@ uint64_t Batch::materialized_cells() const {
   return cells;
 }
 
-std::vector<Batch> BatchesFromRows(const std::vector<Row>& rows,
-                                   size_t num_cols, size_t batch_rows) {
+Batch ConcatBatches(const std::vector<Batch>& batches, size_t num_cols,
+                    size_t max_rows) {
+  const size_t n = std::min(max_rows, TotalBatchRows(batches));
+  Batch out(num_cols);
+  for (size_t c = 0; c < num_cols; ++c) {
+    std::vector<Value>& col = out.col(c);
+    col.reserve(n);
+    for (const Batch& b : batches) {
+      const size_t take = std::min(b.size(), n - col.size());
+      if (!b.has_selection() && !b.col_is_group(c)) {
+        col.insert(col.end(), b.col(c).begin(),
+                   b.col(c).begin() + static_cast<std::ptrdiff_t>(take));
+      } else {
+        for (size_t i = 0; i < take; ++i) col.push_back(b.At(i, c));
+      }
+    }
+  }
+  return out;
+}
+
+std::vector<Batch> SplitBatch(Batch b, size_t batch_rows) {
   std::vector<Batch> out;
   if (batch_rows == 0) batch_rows = kDefaultBatchRows;
-  for (size_t begin = 0; begin < rows.size(); begin += batch_rows) {
-    const size_t end = std::min(rows.size(), begin + batch_rows);
-    Batch b(num_cols);
-    for (size_t i = begin; i < end; ++i) b.AppendRow(rows[i]);
-    out.push_back(std::move(b));
+  b.Flatten();
+  const size_t n = b.size();
+  if (n <= batch_rows) {
+    if (n > 0) out.push_back(std::move(b));
+    return out;
+  }
+  for (size_t begin = 0; begin < n; begin += batch_rows) {
+    const auto first = static_cast<std::ptrdiff_t>(begin);
+    const auto last =
+        static_cast<std::ptrdiff_t>(std::min(n, begin + batch_rows));
+    Batch chunk(b.num_cols());
+    for (size_t c = 0; c < b.num_cols(); ++c) {
+      std::vector<Value>& col = b.col(c);
+      chunk.col(c).assign(std::make_move_iterator(col.begin() + first),
+                          std::make_move_iterator(col.begin() + last));
+    }
+    out.push_back(std::move(chunk));
+  }
+  return out;
+}
+
+Batch MapColumns(Batch b, const std::vector<std::string>& from,
+                 const std::vector<std::string>& to) {
+  if (from == to) return b;
+  Batch out(to.size());
+  for (size_t c = 0; c < to.size(); ++c) {
+    const auto src = std::find(from.begin(), from.end(), to[c]);
+    std::vector<Value>& col = out.col(c);
+    col.reserve(b.size());
+    for (size_t i = 0; i < b.size(); ++i) {
+      col.push_back(src == from.end()
+                        ? Value()
+                        : b.At(i, static_cast<size_t>(src - from.begin())));
+    }
   }
   return out;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/exec/result.h"
@@ -188,9 +189,22 @@ class Batch {
   std::vector<uint32_t> goff_;             ///< group offsets, size G + 1
 };
 
-/// Splits `rows` into dense batches of at most `batch_rows` rows each.
-std::vector<Batch> BatchesFromRows(const std::vector<Row>& rows,
-                                   size_t num_cols, size_t batch_rows);
+/// One flat, selection-free batch holding the first `max_rows` active rows
+/// of `batches`, in order (groups expanded): how a breaker kernel sees its
+/// whole input at once. `num_cols` sizes the result when `batches` is empty.
+Batch ConcatBatches(const std::vector<Batch>& batches, size_t num_cols,
+                    size_t max_rows = SIZE_MAX);
+
+/// Splits `b`'s active rows into dense batches of at most `batch_rows` rows
+/// each (none when `b` is empty) — how a breaker's output is re-chunked into
+/// the next pipeline's morsels.
+std::vector<Batch> SplitBatch(Batch b, size_t batch_rows);
+
+/// `b` with its columns rearranged from `from` order into `to` order
+/// (columns absent from `from` read as null); `b` itself when the layouts
+/// already agree.
+Batch MapColumns(Batch b, const std::vector<std::string>& from,
+                 const std::vector<std::string>& to);
 
 /// Concatenates the active rows of `batches` into one row vector.
 std::vector<Row> RowsFromBatches(const std::vector<Batch>& batches);

@@ -28,22 +28,6 @@ size_t TotalRows(const std::vector<std::vector<Batch>>& parts) {
   return n;
 }
 
-/// `b`'s active rows with their columns rearranged from `from` order into
-/// `to` order (columns absent from `from` read as null).
-Batch MapColumns(const Batch& b, const std::vector<std::string>& from,
-                 const std::vector<std::string>& to) {
-  Batch out(to.size());
-  for (size_t c = 0; c < to.size(); ++c) {
-    const int src = IndexOf(from, to[c]);
-    std::vector<Value>& col = out.col(c);
-    col.reserve(b.size());
-    for (size_t i = 0; i < b.size(); ++i) {
-      col.push_back(src < 0 ? Value() : b.At(i, static_cast<size_t>(src)));
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 void DistributedExecutor::CountConsumers(
@@ -103,14 +87,12 @@ DistributedExecutor::Parts DistributedExecutor::MapBatches(
 }
 
 template <typename F>
-DistributedExecutor::Parts DistributedExecutor::MapRows(
+DistributedExecutor::Parts DistributedExecutor::MapStreams(
     const Parts& in, const F& kernel) const {
   Parts out(static_cast<size_t>(workers_));
   ForEachWorker(TotalRows(in), [&](size_t w) {
-    std::vector<Row> rows = kernel(RowsFromBatches(in[w]));
-    if (!rows.empty()) {
-      out[w].push_back(Batch::FromRows(rows, rows.front().size()));
-    }
+    Batch o = kernel(in[w]);
+    if (!o.empty()) out[w].push_back(std::move(o));
   });
   return out;
 }
@@ -331,15 +313,10 @@ DistributedExecutor::PartsPtr DistributedExecutor::Run(const PhysOpPtr& op) {
     }
     case PhysOpKind::kAggregate: {
       auto in = Run(op->children[0]);
-      auto aggregate = [&](const Parts& src) {
-        Parts out(W);
-        ForEachWorker(TotalRows(src), [&](size_t w) {
-          std::vector<Row> rows = k_.AggregateBatchRows(*op, src[w]);
-          if (!rows.empty()) {
-            out[w].push_back(Batch::FromRows(rows, op->out_cols.size()));
-          }
+      auto aggregate = [&](const Parts& src, bool combine) {
+        return MapStreams(src, [&](const std::vector<Batch>& stream) {
+          return k_.Aggregate(*op, stream, combine);
         });
-        return out;
       };
       if (SupportsPartialAgg(*op)) {
         // GroupLocal on each worker, exchange partials by key, GroupGlobal.
@@ -347,10 +324,8 @@ DistributedExecutor::PartsPtr DistributedExecutor::Run(const PhysOpPtr& op) {
         for (size_t i = 0; i < op->group_keys.size(); ++i) {
           key_idx.push_back(static_cast<int>(i));
         }
-        Parts exchanged = ExchangeByKey(aggregate(*in), key_idx);
-        *result = MapRows(exchanged, [&](const std::vector<Row>& rows) {
-          return k_.Aggregate(*op, rows, /*combine=*/true);
-        });
+        *result = aggregate(ExchangeByKey(aggregate(*in, false), key_idx),
+                            /*combine=*/true);
       } else {
         // Raw-row exchange by group key hash, then full local aggregation.
         const ColMap cmap = MakeColMap(op->children[0]->out_cols);
@@ -365,7 +340,7 @@ DistributedExecutor::PartsPtr DistributedExecutor::Run(const PhysOpPtr& op) {
               }
               return h % W;
             });
-        *result = aggregate(keyed);
+        *result = aggregate(keyed, false);
       }
       // A keyless aggregate produces its single row on worker 0 only;
       // other workers' aggregation over empty input must not emit
@@ -392,8 +367,7 @@ DistributedExecutor::PartsPtr DistributedExecutor::Run(const PhysOpPtr& op) {
       ForEachWorker(TotalRows(le) + TotalRows(re), [&](size_t w) {
         // Build over this worker's share of the right side, probe with its
         // share of the left.
-        const std::vector<Row> build = RowsFromBatches(re[w]);
-        const JoinHashTable ht = k_.BuildJoinTable(*op, build);
+        const JoinHashTable ht = k_.BuildJoinTable(*op, re[w]);
         for (const Batch& b : le[w]) {
           Batch o = k_.JoinProbeBatch(*op, b, ht);
           if (!o.empty()) (*result)[w].push_back(std::move(o));
@@ -413,8 +387,9 @@ DistributedExecutor::PartsPtr DistributedExecutor::Run(const PhysOpPtr& op) {
         for (const auto& t : op->dedup_tags) key_idx.push_back(IndexOf(ccols, t));
       }
       Parts ex = ExchangeByKey(Take(child0, in), key_idx);
-      *result = MapRows(
-          ex, [&](const std::vector<Row>& rows) { return k_.Dedup(*op, rows); });
+      *result = MapStreams(ex, [&](const std::vector<Batch>& stream) {
+        return k_.Dedup(*op, stream);
+      });
       break;
     }
     case PhysOpKind::kOrder: {
@@ -423,16 +398,14 @@ DistributedExecutor::PartsPtr DistributedExecutor::Run(const PhysOpPtr& op) {
       // communication like any exchange), then k-way merge them there —
       // output-identical to re-sorting the concatenation, without the
       // O(N log N) re-sort of already-sorted runs.
-      std::vector<std::vector<Row>> local(W);
+      std::vector<Batch> local(W);
       ForEachWorker(TotalRows(*in), [&](size_t w) {
-        local[w] = k_.SortLimit(*op, RowsFromBatches((*in)[w]));
+        local[w] = k_.SortLimit(*op, (*in)[w]);
       });
       stats_.exchanges++;
       for (size_t w = 1; w < W; ++w) stats_.comm_rows += local[w].size();
-      std::vector<Row> merged = k_.MergeSortedLimit(*op, std::move(local));
-      if (!merged.empty()) {
-        (*result)[0].push_back(Batch::FromRows(merged, op->out_cols.size()));
-      }
+      Batch merged = k_.MergeSortedLimit(*op, local);
+      if (!merged.empty()) (*result)[0].push_back(std::move(merged));
       break;
     }
     case PhysOpKind::kLimit: {
@@ -449,13 +422,13 @@ DistributedExecutor::PartsPtr DistributedExecutor::Run(const PhysOpPtr& op) {
       break;
     }
     case PhysOpKind::kUnion: {
-      auto l = Run(op->children[0]);
-      auto r = Run(op->children[1]);
+      Parts l = Take(child0, Run(op->children[0]));
+      Parts r = Take(op->children[1].get(), Run(op->children[1]));
       for (size_t w = 0; w < W; ++w) {
-        (*result)[w] = (*l)[w];
-        for (const Batch& b : (*r)[w]) {
-          (*result)[w].push_back(
-              MapColumns(b, op->children[1]->out_cols, op->out_cols));
+        (*result)[w] = std::move(l[w]);
+        for (Batch& b : r[w]) {
+          (*result)[w].push_back(MapColumns(
+              std::move(b), op->children[1]->out_cols, op->out_cols));
         }
       }
       if (op->union_distinct) {
@@ -464,10 +437,9 @@ DistributedExecutor::PartsPtr DistributedExecutor::Run(const PhysOpPtr& op) {
           key_idx.push_back(static_cast<int>(i));
         }
         Parts ex = ExchangeByKey(std::move(*result), key_idx);
-        PhysOp dd(PhysOpKind::kDedup);
-        dd.children = {op};
-        *result = MapRows(
-            ex, [&](const std::vector<Row>& rows) { return k_.Dedup(dd, rows); });
+        *result = MapStreams(ex, [&](const std::vector<Batch>& stream) {
+          return k_.Dedup(*op, stream);
+        });
       }
       break;
     }

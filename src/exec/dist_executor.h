@@ -24,11 +24,12 @@ namespace gopt {
 /// (a chain's final expansion, whose target no operator expands from,
 /// ships nothing).
 ///
-/// Data flows as one stream of columnar Batches per worker: scans,
-/// expansions, filters, projections, unfolds and join probes call the
-/// batch kernels directly, and exchanges scatter batch rows into one
-/// Batch per target worker. Pipeline breakers (aggregate, order, dedup,
-/// join build) convert their input once, as the morsel runtime does.
+/// Data flows as one stream of columnar Batches per worker, and every
+/// operator calls the shared batch kernels directly: streaming operators
+/// map each batch of a stream, breakers (aggregate, order, dedup, join
+/// build) take a worker's whole stream and return one batch, as in the
+/// morsel runtime. Exchanges scatter batch rows into one Batch per target
+/// worker.
 ///
 /// Joins, aggregates and dedups hash-exchange on their keys; ORDER does a
 /// local top-k then a k-way merge of the sorted per-worker lists at worker
@@ -100,10 +101,10 @@ class DistributedExecutor {
   /// stream, keeping the non-empty outputs in order.
   template <typename F>
   Parts MapBatches(const Parts& in, const F& kernel) const;
-  /// Runs a breaker kernel over each worker's whole stream (as rows) and
-  /// re-wraps its output as that worker's single batch.
+  /// Runs a breaker kernel over each worker's whole stream; its output
+  /// batch, when non-empty, becomes that worker's stream.
   template <typename F>
-  Parts MapRows(const Parts& in, const F& kernel) const;
+  Parts MapStreams(const Parts& in, const F& kernel) const;
 
   /// Moves every active row of `in` to the worker `target(batch, row)`
   /// names, preserving order (source worker, then stream order); counts

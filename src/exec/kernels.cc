@@ -4,11 +4,13 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <queue>
 #include <set>
 #include <stdexcept>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "src/exec/vectorized.h"
 
@@ -924,24 +926,33 @@ Batch Kernels::UnfoldBatch(const PhysOp& op, const Batch& in,
 // Dedup
 // ---------------------------------------------------------------------------
 
-std::vector<Row> Kernels::Dedup(const PhysOp& op,
-                                const std::vector<Row>& in) const {
-  const auto& cols = op.children[0]->out_cols;
-  std::vector<int> key_idx;
+Batch Kernels::Dedup(const PhysOp& op, const std::vector<Batch>& in) const {
+  const auto& cols =
+      op.kind == PhysOpKind::kUnion ? op.out_cols : op.children[0]->out_cols;
+  std::vector<size_t> key_idx;
   if (op.dedup_tags.empty()) {
-    for (size_t i = 0; i < cols.size(); ++i) key_idx.push_back(static_cast<int>(i));
-  } else {
-    for (const auto& t : op.dedup_tags) key_idx.push_back(IndexOf(cols, t));
+    for (size_t i = 0; i < cols.size(); ++i) key_idx.push_back(i);
   }
-  std::unordered_map<std::vector<Value>, bool, ValueVecHash> seen;
-  std::vector<Row> out;
-  for (const Row& r : in) {
+  for (const auto& t : op.dedup_tags) {
+    const int i = IndexOf(cols, t);
+    if (i < 0) {
+      throw std::runtime_error("Dedup: key column '" + t + "' missing");
+    }
+    key_idx.push_back(static_cast<size_t>(i));
+  }
+  Batch all = ConcatBatches(in, op.out_cols.size());
+  std::unordered_set<std::vector<Value>, ValueVecHash> seen;
+  std::vector<uint32_t> keep;
+  for (size_t r = 0; r < all.size(); ++r) {
     std::vector<Value> key;
     key.reserve(key_idx.size());
-    for (int i : key_idx) key.push_back(r[static_cast<size_t>(i)]);
-    if (seen.emplace(std::move(key), true).second) out.push_back(r);
+    for (size_t c : key_idx) key.push_back(all.col(c)[r]);
+    if (seen.insert(std::move(key)).second) {
+      keep.push_back(static_cast<uint32_t>(r));
+    }
   }
-  return out;
+  if (keep.size() == all.size()) return all;
+  return all.GatherPhys(keep);
 }
 
 bool SupportsPartialAgg(const PhysOp& op) {
@@ -1069,75 +1080,20 @@ void AggUpdateN(AggState* s, const AggCall& call, const Value& v, uint64_t n) {
   }
 }
 
-}  // namespace
-
-std::vector<Row> Kernels::Aggregate(const PhysOp& op,
-                                    const std::vector<Row>& in,
-                                    bool combine) const {
-  const size_t nkeys = op.group_keys.size();
-  const size_t naggs = op.aggs.size();
-  ColMap cmap = MakeColMap(combine ? op.out_cols : op.children[0]->out_cols);
-
-  std::unordered_map<std::vector<Value>, size_t, ValueVecHash> index;
-  std::vector<std::vector<Value>> keys;
-  std::vector<std::vector<AggState>> states;
-
-  for (const Row& r : in) {
-    std::vector<Value> key(nkeys);
-    if (combine) {
-      for (size_t i = 0; i < nkeys; ++i) key[i] = r[i];
-    } else {
-      for (size_t i = 0; i < nkeys; ++i) {
-        key[i] = eval_.Eval(*op.group_keys[i].expr, r, cmap);
-      }
-    }
-    auto [it, inserted] = index.emplace(key, keys.size());
-    if (inserted) {
-      keys.push_back(key);
-      states.emplace_back(naggs);
-    }
-    auto& st = states[it->second];
-    for (size_t i = 0; i < naggs; ++i) {
-      const AggCall& call = op.aggs[i];
-      if (combine) {
-        // Partial results sit at column nkeys + i; COUNT/SUM merge by
-        // summation, MIN/MAX by comparison.
-        const Value& v = r[nkeys + i];
-        AggCall merged = call;
-        if (call.fn == AggFunc::kCount) {
-          merged.fn = AggFunc::kSum;
-          merged.arg = Expr::MakeLiteral(Value());  // non-null marker
-          AggUpdate(&st[i], merged, v);
-          // Represent back as count for AggResult:
-          st[i].count = st[i].isum;
-        } else {
-          AggUpdate(&st[i], merged, v);
-        }
-      } else {
-        Value v = call.arg ? eval_.Eval(*call.arg, r, cmap) : Value(true);
-        AggUpdate(&st[i], call, v);
-      }
-    }
+/// Folds one partial result `v` of `call` (a GroupLocal output) into `s`:
+/// COUNT and SUM partials merge by summation, MIN/MAX by comparison.
+void MergePartial(AggState* s, const AggCall& call, const Value& v) {
+  if (call.fn == AggFunc::kCount) {
+    if (!v.is_null()) s->count += v.AsInt();
+    return;
   }
-
-  std::vector<Row> out;
-  // A keyless aggregate over empty input still yields one row.
-  if (keys.empty() && nkeys == 0) {
-    keys.push_back({});
-    states.emplace_back(naggs);
-  }
-  for (size_t gi = 0; gi < keys.size(); ++gi) {
-    Row r = keys[gi];
-    for (size_t i = 0; i < naggs; ++i) {
-      r.push_back(AggResult(op.aggs[i], states[gi][i]));
-    }
-    out.push_back(std::move(r));
-  }
-  return out;
+  AggUpdate(s, call, v);
 }
 
-std::vector<Row> Kernels::AggregateBatchRows(
-    const PhysOp& op, const std::vector<Batch>& in) const {
+}  // namespace
+
+Batch Kernels::Aggregate(const PhysOp& op, const std::vector<Batch>& in,
+                         bool combine) const {
   const size_t nkeys = op.group_keys.size();
   const size_t naggs = op.aggs.size();
   ColMap cmap = MakeColMap(op.children[0]->out_cols);
@@ -1148,12 +1104,12 @@ std::vector<Row> Kernels::AggregateBatchRows(
   Row scratch;
 
   // One state update representing `n` identical input rows. Group keys are
-  // discovered in first-occurrence order, exactly like the row loop: the
-  // first row of a run precedes the rest.
+  // discovered in first-occurrence order: the first row of a run precedes
+  // the rest.
   auto update = [&](const Row& r, uint64_t n) {
     std::vector<Value> key(nkeys);
     for (size_t i = 0; i < nkeys; ++i) {
-      key[i] = eval_.Eval(*op.group_keys[i].expr, r, cmap);
+      key[i] = combine ? r[i] : eval_.Eval(*op.group_keys[i].expr, r, cmap);
     }
     auto [it, inserted] = index.emplace(key, keys.size());
     if (inserted) {
@@ -1163,6 +1119,11 @@ std::vector<Row> Kernels::AggregateBatchRows(
     auto& st = states[it->second];
     for (size_t i = 0; i < naggs; ++i) {
       const AggCall& call = op.aggs[i];
+      if (combine) {
+        // Partial results sit at column nkeys + i.
+        MergePartial(&st[i], call, r[nkeys + i]);
+        continue;
+      }
       Value v = call.arg ? eval_.Eval(*call.arg, r, cmap) : Value(true);
       AggUpdateN(&st[i], call, v, n);
     }
@@ -1171,7 +1132,7 @@ std::vector<Row> Kernels::AggregateBatchRows(
   for (const Batch& b : in) {
     // Run-at-a-time consumption is sound when every key and argument is
     // constant within a group — i.e. reads only group columns.
-    bool runwise = b.factorized();
+    bool runwise = !combine && b.factorized();
     if (runwise) {
       for (const auto& k : op.group_keys) {
         runwise = runwise && OnlyGroupTags(*k.expr, b, cmap);
@@ -1199,18 +1160,20 @@ std::vector<Row> Kernels::AggregateBatchRows(
     }
   }
 
-  std::vector<Row> out;
   // A keyless aggregate over empty input still yields one row.
   if (keys.empty() && nkeys == 0) {
     keys.push_back({});
     states.emplace_back(naggs);
   }
+  Batch out(nkeys + naggs);
+  for (size_t c = 0; c < nkeys + naggs; ++c) out.col(c).reserve(keys.size());
   for (size_t gi = 0; gi < keys.size(); ++gi) {
-    Row r = std::move(keys[gi]);
-    for (size_t i = 0; i < naggs; ++i) {
-      r.push_back(AggResult(op.aggs[i], states[gi][i]));
+    for (size_t i = 0; i < nkeys; ++i) {
+      out.col(i).push_back(std::move(keys[gi][i]));
     }
-    out.push_back(std::move(r));
+    for (size_t i = 0; i < naggs; ++i) {
+      out.col(nkeys + i).push_back(AggResult(op.aggs[i], states[gi][i]));
+    }
   }
   return out;
 }
@@ -1220,11 +1183,10 @@ std::vector<Row> Kernels::AggregateBatchRows(
 // ---------------------------------------------------------------------------
 
 JoinHashTable Kernels::BuildJoinTable(const PhysOp& op,
-                                      const std::vector<Row>& right) const {
+                                      const std::vector<Batch>& right) const {
   const auto& lcols = op.children[0]->out_cols;
   const auto& rcols = op.children[1]->out_cols;
   JoinHashTable ht;
-  ht.rows = &right;
   for (const auto& k : op.join_keys) {
     ht.lkey.push_back(IndexOf(lcols, k));
     ht.rkey.push_back(IndexOf(rcols, k));
@@ -1241,10 +1203,13 @@ JoinHashTable Kernels::BuildJoinTable(const PhysOp& op,
                                "' missing from the right input");
     }
   }
-  for (size_t ri = 0; ri < right.size(); ++ri) {
+  ht.rows = ConcatBatches(right, rcols.size());
+  for (size_t ri = 0; ri < ht.rows.size(); ++ri) {
     std::vector<Value> key;
     key.reserve(ht.rkey.size());
-    for (int i : ht.rkey) key.push_back(right[ri][static_cast<size_t>(i)]);
+    for (int i : ht.rkey) {
+      key.push_back(ht.rows.col(static_cast<size_t>(i))[ri]);
+    }
     ht.index[std::move(key)].push_back(static_cast<uint32_t>(ri));
   }
   return ht;
@@ -1282,10 +1247,10 @@ Batch Kernels::JoinProbeBatch(const PhysOp& op, const Batch& left,
     // null-padded row when nothing matched.
     if (matched) {
       for (uint32_t ri : it->second) {
-        const Row& r = (*ht.rows)[ri];
         emit_left(scratch);
         for (size_t j = 0; j < ht.rappend.size(); ++j) {
-          out.col(nlcols + j).push_back(r[static_cast<size_t>(ht.rappend[j])]);
+          out.col(nlcols + j).push_back(
+              ht.rows.col(static_cast<size_t>(ht.rappend[j]))[ri]);
         }
       }
     } else if (op.join_kind == JoinKind::kLeftOuter) {
@@ -1299,131 +1264,99 @@ Batch Kernels::JoinProbeBatch(const PhysOp& op, const Batch& left,
 }
 
 // ---------------------------------------------------------------------------
-// Union
+// Sort / Limit
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// Permutes `rows` (with layout `from_cols`) into `to_cols` order.
-std::vector<Row> MapColumns(std::vector<Row> rows,
-                            const std::vector<std::string>& from_cols,
-                            const std::vector<std::string>& to_cols) {
-  if (from_cols == to_cols) return rows;
-  std::vector<int> perm;
-  for (const auto& c : to_cols) perm.push_back(IndexOf(from_cols, c));
-  std::vector<Row> out;
-  out.reserve(rows.size());
-  for (Row& r : rows) {
-    Row nr(perm.size());
-    for (size_t i = 0; i < perm.size(); ++i) {
-      nr[i] = perm[i] >= 0 ? r[static_cast<size_t>(perm[i])] : Value();
+/// Each row's sort keys, evaluated once per row — the decoration SortLimit
+/// and MergeSortedLimit share, so their orders agree exactly.
+std::vector<std::vector<Value>> SortKeys(const ExprEval& eval,
+                                         const PhysOp& op, const Batch& all) {
+  ColMap cmap = MakeColMap(op.children[0]->out_cols);
+  std::vector<std::vector<Value>> keys(all.size());
+  Row scratch;
+  for (size_t r = 0; r < all.size(); ++r) {
+    all.GatherRow(r, &scratch);
+    for (const auto& item : op.sort_items) {
+      keys[r].push_back(eval.Eval(*item.expr, scratch, cmap));
     }
-    out.push_back(std::move(nr));
   }
-  return out;
+  return keys;
+}
+
+/// < 0 when keys `a` sort before keys `b` under the op's sort items, 0 on
+/// a tie.
+int CompareSortKeys(const PhysOp& op, const std::vector<Value>& a,
+                    const std::vector<Value>& b) {
+  for (size_t i = 0; i < op.sort_items.size(); ++i) {
+    const int c = a[i].Compare(b[i]);
+    if (c != 0) return op.sort_items[i].asc ? c : -c;
+  }
+  return 0;
+}
+
+/// Rows kept by op.limit out of `n`.
+size_t LimitRows(const PhysOp& op, size_t n) {
+  return op.limit >= 0 ? std::min(n, static_cast<size_t>(op.limit)) : n;
 }
 
 }  // namespace
 
-std::vector<Row> Kernels::Union(const PhysOp& op, std::vector<Row> left,
-                                std::vector<Row> right) const {
-  std::vector<Row> mapped =
-      MapColumns(std::move(right), op.children[1]->out_cols, op.out_cols);
-  for (Row& r : mapped) left.push_back(std::move(r));
-  if (op.union_distinct) {
-    // Layout-only child so the dedup kernel sees the union's columns.
-    auto layout = std::make_shared<PhysOp>(PhysOpKind::kUnion);
-    layout->out_cols = op.out_cols;
-    PhysOp dd(PhysOpKind::kDedup);
-    dd.children = {layout};
-    left = Dedup(dd, left);
-  }
-  return left;
-}
-
-// ---------------------------------------------------------------------------
-// Sort / Limit
-// ---------------------------------------------------------------------------
-
-std::vector<Row> Kernels::SortLimit(const PhysOp& op,
-                                    std::vector<Row> in) const {
-  ColMap cmap = MakeColMap(op.children[0]->out_cols);
-  const size_t nkeys = op.sort_items.size();
-  // Decorate with sort keys.
-  std::vector<std::pair<std::vector<Value>, Row>> dec;
-  dec.reserve(in.size());
-  for (Row& r : in) {
-    std::vector<Value> keys(nkeys);
-    for (size_t i = 0; i < nkeys; ++i) {
-      keys[i] = eval_.Eval(*op.sort_items[i].expr, r, cmap);
-    }
-    dec.emplace_back(std::move(keys), std::move(r));
-  }
-  std::stable_sort(dec.begin(), dec.end(), [&](const auto& a, const auto& b) {
-    for (size_t i = 0; i < nkeys; ++i) {
-      int c = a.first[i].Compare(b.first[i]);
-      if (c != 0) return op.sort_items[i].asc ? c < 0 : c > 0;
-    }
-    return false;
-  });
-  std::vector<Row> out;
-  size_t n = dec.size();
-  if (op.limit >= 0) n = std::min(n, static_cast<size_t>(op.limit));
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) out.push_back(std::move(dec[i].second));
-  return out;
-}
-
-std::vector<Row> Kernels::MergeSortedLimit(
-    const PhysOp& op, std::vector<std::vector<Row>> parts) const {
-  ColMap cmap = MakeColMap(op.children[0]->out_cols);
-  const size_t nkeys = op.sort_items.size();
-  // Evaluate each row's sort keys once up front (same decoration SortLimit
-  // uses, so the comparator agrees exactly).
-  std::vector<std::vector<std::vector<Value>>> keys(parts.size());
-  size_t total = 0;
-  for (size_t p = 0; p < parts.size(); ++p) {
-    keys[p].reserve(parts[p].size());
-    for (const Row& r : parts[p]) {
-      std::vector<Value> k(nkeys);
-      for (size_t i = 0; i < nkeys; ++i) {
-        k[i] = eval_.Eval(*op.sort_items[i].expr, r, cmap);
-      }
-      keys[p].push_back(std::move(k));
-    }
-    total += parts[p].size();
-  }
-  struct Cursor {
-    size_t part;
-    size_t pos;
+Batch Kernels::SortLimit(const PhysOp& op, const std::vector<Batch>& in) const {
+  Batch all = ConcatBatches(in, op.out_cols.size());
+  const auto keys = SortKeys(eval_, op, all);
+  std::vector<uint32_t> order(all.size());
+  std::iota(order.begin(), order.end(), 0u);
+  // Position breaks key ties, so this is a stable sort; a limit below the
+  // input size only needs the head sorted.
+  auto before = [&](uint32_t a, uint32_t b) {
+    const int c = CompareSortKeys(op, keys[a], keys[b]);
+    return c != 0 ? c < 0 : a < b;
   };
-  // Min-heap ordered by sort keys; key ties resolve to the lower part
-  // index — the order a stable sort of the worker-order concatenation
-  // yields, so the merge is output-identical to the old full re-sort.
+  const size_t n = LimitRows(op, order.size());
+  if (n < order.size()) {
+    std::partial_sort(order.begin(),
+                      order.begin() + static_cast<std::ptrdiff_t>(n),
+                      order.end(), before);
+    order.resize(n);
+  } else {
+    std::sort(order.begin(), order.end(), before);
+  }
+  return all.GatherPhys(order);
+}
+
+Batch Kernels::MergeSortedLimit(const PhysOp& op,
+                                const std::vector<Batch>& parts) const {
+  Batch all = ConcatBatches(parts, op.out_cols.size());
+  const auto keys = SortKeys(eval_, op, all);
+  // One cursor per non-empty part: its next position in `all` and the end
+  // of its run. Parts are concatenated in worker order, so on a key tie the
+  // lower position is the lower worker — the order a stable sort of the
+  // worker-order concatenation yields.
+  struct Cursor {
+    size_t pos, end;
+  };
   auto after = [&](const Cursor& a, const Cursor& b) {
-    const auto& ka = keys[a.part][a.pos];
-    const auto& kb = keys[b.part][b.pos];
-    for (size_t i = 0; i < nkeys; ++i) {
-      int c = ka[i].Compare(kb[i]);
-      if (c != 0) return op.sort_items[i].asc ? c > 0 : c < 0;
-    }
-    return a.part > b.part;
+    const int c = CompareSortKeys(op, keys[a.pos], keys[b.pos]);
+    return c != 0 ? c > 0 : a.pos > b.pos;
   };
   std::priority_queue<Cursor, std::vector<Cursor>, decltype(after)> heap(after);
-  for (size_t p = 0; p < parts.size(); ++p) {
-    if (!parts[p].empty()) heap.push({p, 0});
+  size_t begin = 0;
+  for (const Batch& p : parts) {
+    if (!p.empty()) heap.push({begin, begin + p.size()});
+    begin += p.size();
   }
-  size_t n = total;
-  if (op.limit >= 0) n = std::min(n, static_cast<size_t>(op.limit));
-  std::vector<Row> out;
-  out.reserve(n);
-  while (out.size() < n && !heap.empty()) {
+  const size_t n = LimitRows(op, all.size());
+  std::vector<uint32_t> order;
+  order.reserve(n);
+  while (order.size() < n && !heap.empty()) {
     Cursor c = heap.top();
     heap.pop();
-    out.push_back(std::move(parts[c.part][c.pos]));
-    if (c.pos + 1 < parts[c.part].size()) heap.push({c.part, c.pos + 1});
+    order.push_back(static_cast<uint32_t>(c.pos));
+    if (++c.pos < c.end) heap.push(c);
   }
-  return out;
+  return all.GatherPhys(order);
 }
 
 }  // namespace gopt

@@ -26,24 +26,25 @@ struct ScanMorsel {
 
 /// A hash table built once over a join's build (right) side, probed by any
 /// number of threads concurrently — the build/probe split of the morsel
-/// runtime. `rows` is not owned and must outlive the probes.
+/// runtime. It owns the build side as one flat batch.
 struct JoinHashTable {
-  const std::vector<Row>* rows = nullptr;  ///< build-side rows
+  Batch rows;  ///< build-side rows, concatenated
   std::unordered_map<std::vector<Value>, std::vector<uint32_t>, ValueVecHash>
       index;                    ///< join key -> build row positions
   std::vector<int> lkey, rkey;  ///< key column positions per side
   std::vector<int> rappend;     ///< build columns appended to the output
 };
 
-/// Operator kernels shared by both runtimes. The streaming kernels (scan,
-/// expansions, filter, project, unfold, join probe) are batch-native —
-/// they consume and produce columnar Batches, filters refining the
-/// selection vector in place — and are what the morsel-driven runtime
+/// Operator kernels shared by both runtimes: the morsel-driven runtime
 /// (src/exec/morsel.cc) and the distributed runtime
-/// (src/exec/dist_executor.cc) call directly. The blocking kernels
-/// (aggregate, sort/limit, dedup, union, join build) materialize by nature
-/// and stay row-based, except AggregateBatchRows, which consumes batches
-/// directly.
+/// (src/exec/dist_executor.cc) call them directly, and every kernel takes
+/// and returns columnar Batches. The streaming kernels (scan, expansions,
+/// filter, project, unfold, join probe) map one batch to one batch,
+/// filters refining the selection vector in place. The blocking kernels
+/// (aggregate, sort/limit, dedup, join build) take a whole stream of
+/// batches and return one flat batch; all but the aggregate concatenate
+/// their input once (ConcatBatches) and work on row positions. A union is
+/// MapColumns over its right input plus, for UNION DISTINCT, Dedup.
 class Kernels {
  public:
   /// `pstore` (optional) attaches a sharded store. All graph reads are
@@ -104,9 +105,8 @@ class Kernels {
                     bool factorize = false) const;
 
   /// Builds the probe hash table over the join's build (right) side.
-  /// `right` must outlive every probe against the returned table.
   JoinHashTable BuildJoinTable(const PhysOp& op,
-                               const std::vector<Row>& right) const;
+                               const std::vector<Batch>& right) const;
   /// Streams probe-side batches through a prebuilt table (thread-safe:
   /// the table is read-only during probing).
   Batch JoinProbeBatch(const PhysOp& op, const Batch& left,
@@ -114,41 +114,34 @@ class Kernels {
 
   // ---- blocking kernels (pipeline-breaker sinks) ----
 
-  std::vector<Row> Dedup(const PhysOp& op, const std::vector<Row>& in) const;
+  /// First occurrence of each key, in input order. A DEDUP keys on its
+  /// dedup_tags over the child layout (every column when empty); a UNION
+  /// (DISTINCT) on every output column.
+  Batch Dedup(const PhysOp& op, const std::vector<Batch>& in) const;
 
-  /// Aggregation. With combine = false, evaluates group keys / agg args over
-  /// the child layout (a full or "local" aggregation). With combine = true,
-  /// input rows already have the op's output layout and partial results are
-  /// merged (the distributed GroupGlobal phase: COUNT/SUM -> sum, MIN -> min,
-  /// MAX -> max).
-  std::vector<Row> Aggregate(const PhysOp& op, const std::vector<Row>& in,
-                             bool combine = false) const;
+  /// Aggregation, groups in first-occurrence order. With combine = false,
+  /// evaluates group keys / agg args over the child layout (a full or
+  /// "local" aggregation). Factorized batches whose group keys and agg
+  /// arguments all live on group columns are consumed run-at-a-time: one
+  /// evaluation and one multiplicity-weighted state update per run
+  /// (COUNT += n, SUM += v*n, ...), never expanding the groups; output is
+  /// identical to aggregating the flattened rows. With combine = true, input
+  /// rows already have the op's output layout and partial results are
+  /// merged (the distributed GroupGlobal phase: COUNT/SUM -> sum, MIN ->
+  /// min, MAX -> max). A keyless aggregate over empty input yields one row.
+  Batch Aggregate(const PhysOp& op, const std::vector<Batch>& in,
+                  bool combine = false) const;
 
-  std::vector<Row> SortLimit(const PhysOp& op, std::vector<Row> in) const;
+  /// Stable sort by the op's sort items, cut at op.limit (when >= 0).
+  Batch SortLimit(const PhysOp& op, const std::vector<Batch>& in) const;
 
-  /// K-way merge of per-worker lists already sorted by the op's sort
+  /// K-way merge of per-worker batches already sorted by the op's sort
   /// items (each typically a local top-k), honoring op.limit. Ties across
-  /// lists resolve to the lower list index then the earlier position —
+  /// batches resolve to the lower worker then the earlier position —
   /// exactly the order a stable sort of the worker-order concatenation
   /// produces, at O(N log K) instead of a full re-sort.
-  std::vector<Row> MergeSortedLimit(const PhysOp& op,
-                                    std::vector<std::vector<Row>> parts) const;
-
-  /// Aggregates collected batches directly — without materializing them
-  /// as rows first. Factorized batches whose group keys and agg arguments
-  /// all live on group columns are consumed run-at-a-time: one evaluation
-  /// and one multiplicity-weighted state update per run (COUNT += n,
-  /// SUM += v*n, ...), never expanding the groups. Output is identical to
-  /// Aggregate over the flattened rows, including group order (first
-  /// occurrence).
-  std::vector<Row> AggregateBatchRows(const PhysOp& op,
-                                      const std::vector<Batch>& in) const;
-
-  /// Union splice: appends `right` (column-mapped into the union layout)
-  /// to `left`, deduplicating when `op.union_distinct` (the morsel
-  /// runtime's union sink).
-  std::vector<Row> Union(const PhysOp& op, std::vector<Row> left,
-                         std::vector<Row> right) const;
+  Batch MergeSortedLimit(const PhysOp& op,
+                         const std::vector<Batch>& parts) const;
 
   const ExprEval& eval() const { return eval_; }
   const PropertyGraph& graph() const { return *g_; }

@@ -92,7 +92,6 @@ MorselExecutor::MorselExecutor(const PropertyGraph* g, MorselOptions opts,
 ResultTable MorselExecutor::Execute(const PhysOpPtr& root,
                                     const PipelinePlan* plan) {
   results_.clear();
-  join_rows_.clear();
   join_tables_.clear();
   stats_ = ExecStats{};
   if (pg_ != nullptr) {
@@ -192,34 +191,16 @@ Batch MorselExecutor::ApplyChain(const Pipeline& p, const Batch& shared,
   return ApplyOpsOwned(p, 1, std::move(cur), cs);
 }
 
-std::vector<Row> MorselExecutor::RunBreaker(const PhysOp& sink,
-                                            std::vector<Row> rows) const {
-  switch (sink.kind) {
-    case PhysOpKind::kAggregate:
-      return k_.Aggregate(sink, rows);
-    case PhysOpKind::kOrder:
-      return k_.SortLimit(sink, std::move(rows));
-    case PhysOpKind::kLimit: {
-      const size_t n =
-          std::min(rows.size(), static_cast<size_t>(sink.limit));
-      rows.resize(n);
-      return rows;
-    }
-    case PhysOpKind::kDedup:
-      return k_.Dedup(sink, rows);
-    default:
-      throw std::logic_error("MorselExecutor: unexpected breaker kind");
-  }
-}
-
 void MorselExecutor::RunUnionSink(const Pipeline& p) {
   const PhysOp& op = *p.sink;
-  std::vector<Row> rows =
-      k_.Union(op, RowsFromBatches(results_.at(op.children[0].get())),
-               RowsFromBatches(results_.at(op.children[1].get())));
-  stats_.rows_produced += rows.size();
-  results_[p.sink] =
-      BatchesFromRows(rows, op.out_cols.size(), opts_.batch_rows);
+  std::vector<Batch> in = results_.at(op.children[0].get());
+  for (const Batch& b : results_.at(op.children[1].get())) {
+    in.push_back(MapColumns(b, op.children[1]->out_cols, op.out_cols));
+  }
+  Batch out = op.union_distinct ? k_.Dedup(op, in)
+                                : ConcatBatches(in, op.out_cols.size());
+  stats_.rows_produced += out.size();
+  results_[p.sink] = SplitBatch(std::move(out), opts_.batch_rows);
 }
 
 void MorselExecutor::RunPipeline(const Pipeline& p) {
@@ -242,9 +223,8 @@ void MorselExecutor::RunPipeline(const Pipeline& p) {
       if (op->kind != PhysOpKind::kHashJoin || join_tables_.count(op)) {
         continue;
       }
-      std::vector<Row>& rows = join_rows_[op];
-      rows = RowsFromBatches(results_.at(op->children[1].get()));
-      join_tables_.emplace(op, k_.BuildJoinTable(*op, rows));
+      join_tables_.emplace(
+          op, k_.BuildJoinTable(*op, results_.at(op->children[1].get())));
     }
 
     std::vector<ScanMorsel> scan_morsels;
@@ -360,26 +340,39 @@ void MorselExecutor::RunPipeline(const Pipeline& p) {
     }
 
     if (p.sink_is_breaker()) {
-      std::vector<Row> rows;
-      if (p.sink->kind == PhysOpKind::kAggregate) {
+      const PhysOp& sink = *p.sink;
+      Batch result;
+      if (sink.kind == PhysOpKind::kAggregate) {
         // The one breaker that consumes factorized batches without ever
         // expanding them: COUNT/SUM fold a whole run into one
         // multiplicity-weighted state update (group order and rounding
         // bit-identical to aggregating the flattened rows).
-        rows = k_.AggregateBatchRows(*p.sink, *sink_in);
+        result = k_.Aggregate(sink, *sink_in);
       } else {
-        // Row-needing breakers (sort, global limit, dedup) force the
+        // Row-position breakers (sort, global limit, dedup) force the
         // deferred flatten here: charge the expanded rows of every still-
         // factorized input batch as materialized now.
         for (const Batch& b : *sink_in) {
           if (b.factorized()) stats_.tuples_materialized += b.size();
         }
-        rows = RunBreaker(*p.sink, RowsFromBatches(*sink_in));
+        switch (sink.kind) {
+          case PhysOpKind::kOrder:
+            result = k_.SortLimit(sink, *sink_in);
+            break;
+          case PhysOpKind::kLimit:  // copies only the head rows
+            result = ConcatBatches(*sink_in, sink.out_cols.size(),
+                                   static_cast<size_t>(sink.limit));
+            break;
+          case PhysOpKind::kDedup:
+            result = k_.Dedup(sink, *sink_in);
+            break;
+          default:
+            throw std::logic_error("MorselExecutor: unexpected breaker kind");
+        }
       }
-      stats_.rows_produced += rows.size();
-      stats_.tuples_materialized += rows.size();
-      results_[p.sink] =
-          BatchesFromRows(rows, p.sink->out_cols.size(), opts_.batch_rows);
+      stats_.rows_produced += result.size();
+      stats_.tuples_materialized += result.size();
+      results_[p.sink] = SplitBatch(std::move(result), opts_.batch_rows);
     } else {
       // Terminal collect: keep per-morsel batches, reassembled in morsel
       // order so the result is identical for any thread count. Flatten is

@@ -152,8 +152,6 @@ class MorselExecutor {
   /// emission for the expansion kernels.
   Batch ApplyStreamingOp(const Pipeline& p, size_t i, const Batch& in) const;
   void RunUnionSink(const Pipeline& p);
-  /// Runs the sink's blocking kernel over the collected input rows.
-  std::vector<Row> RunBreaker(const PhysOp& sink, std::vector<Row> rows) const;
 
   Kernels k_;
   const PartitionedGraph* pg_;
@@ -164,9 +162,7 @@ class MorselExecutor {
   ExecStats stats_;
   /// Materialized sink outputs, keyed by operator node (the DAG memo).
   std::map<const PhysOp*, std::vector<Batch>> results_;
-  /// Join build sides: the owned build rows plus the hash table probing
-  /// them (JoinHashTable::rows points into join_rows_).
-  std::map<const PhysOp*, std::vector<Row>> join_rows_;
+  /// Join build sides, each table owning its build rows.
   std::map<const PhysOp*, JoinHashTable> join_tables_;
 };
 

@@ -3,11 +3,14 @@
 // and must produce the same rows, and the one-worker runtime is held
 // against the distributed executor's independent operator walker on the
 // same plans; plus unit coverage for Batch row round-trips,
-// selection-vector edge cases, pipeline decomposition, the work-stealing
-// morsel queue, and ExecStats::rows_produced parity across runtimes.
+// selection-vector edge cases, the breaker kernels against row
+// references, pipeline decomposition, the work-stealing morsel queue, and
+// ExecStats::rows_produced parity across runtimes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <functional>
 #include <thread>
 
 #include "src/engine/engine.h"
@@ -120,16 +123,312 @@ TEST(BatchTest, AllFilteredBatchIsActiveEmptySelection) {
   EXPECT_EQ(b.num_phys_rows(), 0u);
 }
 
-TEST(BatchTest, BatchesFromRowsSplitsAtGranularity) {
+TEST(BatchTest, SplitBatchSplitsAtGranularity) {
   std::vector<Row> rows;
   for (int64_t i = 0; i < 10; ++i) rows.push_back(Row{Value(i)});
-  std::vector<Batch> bs = BatchesFromRows(rows, 1, 4);
+  std::vector<Batch> bs = SplitBatch(Batch::FromRows(rows, 1), 4);
   ASSERT_EQ(bs.size(), 3u);
   EXPECT_EQ(bs[0].size(), 4u);
   EXPECT_EQ(bs[1].size(), 4u);
   EXPECT_EQ(bs[2].size(), 2u);
   EXPECT_EQ(TotalBatchRows(bs), 10u);
   EXPECT_EQ(RowsFromBatches(bs), rows);
+  // A selection is compacted first: only the active rows are split.
+  Batch sel = Batch::FromRows(rows, 1);
+  sel.SetSelection({9, 0, 5});
+  bs = SplitBatch(std::move(sel), 2);
+  ASSERT_EQ(bs.size(), 2u);
+  EXPECT_EQ(RowsFromBatches(bs), (std::vector<Row>{rows[9], rows[0], rows[5]}));
+  EXPECT_TRUE(SplitBatch(Batch(1), 4).empty());
+}
+
+// ---------------------------------------------------------------------------
+// Breaker kernels: batch in, batch out, held against row references
+// ---------------------------------------------------------------------------
+
+Value I(int64_t v) { return Value(v); }
+
+/// Inputs over the layout (a, b): a selection that drops and reorders
+/// rows, a factorized batch (a group-backed), the same with a selection,
+/// multiplicity-only lazy groups (b never stored, reads null), an empty
+/// batch and an all-filtered one. `a` repeats across and within batches
+/// so every breaker sees duplicate keys and sort ties.
+std::vector<Batch> BreakerInputs() {
+  std::vector<Batch> in;
+  in.push_back(Batch::FromRows({{I(3), I(1)}, {I(1), I(2)}, {I(3), I(1)},
+                                {I(2), I(5)}, {I(1), I(7)}, {I(2), I(2)}},
+                               2));
+  in.back().SetSelection({5, 0, 2, 3, 1});
+  in.emplace_back(2);  // empty
+  auto factorized = [] {
+    Batch b(2);
+    b.InitFactorized({1, 0});
+    const std::vector<std::pair<int64_t, std::vector<int64_t>>> groups = {
+        {2, {9, 1, 5}}, {1, {2}}, {3, {1, 1}}};
+    for (const auto& [a, bs] : groups) {
+      b.gcol(0).push_back(I(a));
+      for (int64_t v : bs) b.col(1).push_back(I(v));
+      b.CloseGroup(static_cast<uint32_t>(bs.size()));
+    }
+    return b;
+  };
+  in.push_back(factorized());
+  in.push_back(factorized());
+  in.back().SetSelection({5, 0, 3, 2});
+  Batch lazy(2);
+  lazy.InitFactorized({1, 1});
+  for (auto [a, run] : {std::pair<int64_t, uint32_t>{1, 2}, {4, 3}, {2, 1}}) {
+    lazy.gcol(0).push_back(I(a));
+    lazy.gcol(1).push_back(Value());
+    lazy.CloseGroup(run);
+  }
+  in.push_back(std::move(lazy));
+  in.push_back(Batch::FromRows({{I(7), I(7)}}, 2));
+  in.back().SetSelection({});  // all filtered
+  return in;
+}
+
+PhysOpPtr Layout(std::vector<std::string> cols) {
+  auto op = std::make_shared<PhysOp>(PhysOpKind::kScanVertices);
+  op->out_cols = std::move(cols);
+  return op;
+}
+
+PhysOp Breaker(PhysOpKind kind) {
+  PhysOp op(kind);
+  op.children = {Layout({"a", "b"})};
+  op.out_cols = {"a", "b"};
+  return op;
+}
+
+/// Row aggregate over (a, b): [a if keyed], COUNT(*), SUM(a), COUNT(b),
+/// MIN(b), MAX(b); groups in first-occurrence order.
+std::vector<Row> RefAggregate(const std::vector<Row>& rows, bool keyed) {
+  std::vector<Row> out;
+  for (const Row& r : rows) {
+    auto it = std::find_if(out.begin(), out.end(), [&](const Row& o) {
+      return !keyed || o[0] == r[0];
+    });
+    if (it == out.end()) {
+      Row fresh = {I(0), I(0), I(0), Value(), Value()};
+      if (keyed) fresh.insert(fresh.begin(), r[0]);
+      out.push_back(std::move(fresh));
+      it = out.end() - 1;
+    }
+    Value* s = &(*it)[keyed ? 1 : 0];
+    s[0] = I(s[0].AsInt() + 1);
+    s[1] = I(s[1].AsInt() + r[0].AsInt());
+    if (r[1].is_null()) continue;
+    s[2] = I(s[2].AsInt() + 1);
+    if (s[3].is_null() || r[1].Compare(s[3]) < 0) s[3] = r[1];
+    if (s[4].is_null() || r[1].Compare(s[4]) > 0) s[4] = r[1];
+  }
+  if (out.empty() && !keyed) {
+    out.push_back({I(0), I(0), I(0), Value(), Value()});
+  }
+  return out;
+}
+
+std::vector<Row> RefSort(std::vector<Row> rows, const PhysOp& op) {
+  std::stable_sort(rows.begin(), rows.end(), [&](const Row& x, const Row& y) {
+    for (const SortItem& it : op.sort_items) {
+      const size_t c = it.expr->tag == "a" ? 0 : 1;
+      const int cmp = x[c].Compare(y[c]);
+      if (cmp != 0) return it.asc ? cmp < 0 : cmp > 0;
+    }
+    return false;
+  });
+  if (op.limit >= 0 && rows.size() > static_cast<size_t>(op.limit)) {
+    rows.resize(static_cast<size_t>(op.limit));
+  }
+  return rows;
+}
+
+std::vector<Row> RefDedup(const std::vector<Row>& rows, bool by_a) {
+  std::vector<Row> out;
+  for (const Row& r : rows) {
+    if (std::none_of(out.begin(), out.end(), [&](const Row& o) {
+          return by_a ? o[0] == r[0] : o == r;
+        })) {
+      out.push_back(r);
+    }
+  }
+  return out;
+}
+
+/// Self-join on `a` of the (a, b) input with itself as (a, c).
+std::vector<Row> RefJoin(const std::vector<Row>& rows, JoinKind kind) {
+  std::vector<Row> out;
+  for (const Row& l : rows) {
+    bool matched = false;
+    for (const Row& r : rows) {
+      if (!(l[0] == r[0])) continue;
+      matched = true;
+      if (kind == JoinKind::kInner || kind == JoinKind::kLeftOuter) {
+        out.push_back({l[0], l[1], r[1]});
+      }
+    }
+    if (matched ? kind == JoinKind::kSemi
+                : kind == JoinKind::kAnti || kind == JoinKind::kLeftOuter) {
+      Row o = l;
+      if (kind == JoinKind::kLeftOuter) o.push_back(Value());
+      out.push_back(std::move(o));
+    }
+  }
+  return out;
+}
+
+TEST_F(BatchExecTest, BreakerKernelsMatchRowReference) {
+  Kernels k(ldbc_->graph.get());
+  using Run = std::function<std::vector<Row>(const std::vector<Batch>&)>;
+  using Ref = std::function<std::vector<Row>(const std::vector<Row>&)>;
+  struct Case {
+    std::string name;
+    Run run;
+    Ref ref;
+  };
+  std::vector<Case> cases;
+
+  // Dedup: every column, one tag, and UNION DISTINCT (all output columns).
+  for (bool by_a : {false, true}) {
+    PhysOp op = Breaker(PhysOpKind::kDedup);
+    if (by_a) op.dedup_tags = {"a"};
+    cases.push_back({by_a ? "dedup(a)" : "dedup",
+                     [&k, op](const std::vector<Batch>& in) {
+                       return k.Dedup(op, in).ToRows();
+                     },
+                     [by_a](const std::vector<Row>& r) {
+                       return RefDedup(r, by_a);
+                     }});
+  }
+  PhysOp uni(PhysOpKind::kUnion);
+  uni.children = {Layout({"a", "b"}), Layout({"a", "b"})};
+  uni.out_cols = {"a", "b"};
+  uni.union_distinct = true;
+  cases.push_back({"union distinct",
+                   [&k, uni](const std::vector<Batch>& in) {
+                     return k.Dedup(uni, in).ToRows();
+                   },
+                   [](const std::vector<Row>& r) {
+                     return RefDedup(r, false);
+                   }});
+
+  // SortLimit and the k-way merge of per-batch ("per-worker") top-k lists,
+  // with ties on a alone and on (a desc, b asc); no limit, a cut, zero.
+  for (int64_t limit : {-1, 4, 0}) {
+    for (bool two_keys : {false, true}) {
+      PhysOp op = Breaker(PhysOpKind::kOrder);
+      op.limit = limit;
+      op.sort_items = {{Expr::MakeVar("a"), /*asc=*/!two_keys}};
+      if (two_keys) op.sort_items.push_back({Expr::MakeVar("b"), true});
+      const std::string tag = std::string(two_keys ? "(a desc, b)" : "(a)") +
+                              " limit " + std::to_string(limit);
+      Ref ref = [op](const std::vector<Row>& r) { return RefSort(r, op); };
+      cases.push_back({"sort" + tag,
+                       [&k, op](const std::vector<Batch>& in) {
+                         return k.SortLimit(op, in).ToRows();
+                       },
+                       ref});
+      cases.push_back({"merge" + tag,
+                       [&k, op](const std::vector<Batch>& in) {
+                         std::vector<Batch> parts;
+                         for (const Batch& b : in) {
+                           parts.push_back(k.SortLimit(op, {b}));
+                         }
+                         return k.MergeSortedLimit(op, parts).ToRows();
+                       },
+                       ref});
+    }
+  }
+
+  // Aggregate: keyed on a with group-only arguments (consumed run-at-a-time
+  // on the factorized inputs), keyed and keyless with per-row arguments,
+  // and the two-phase path — a local aggregate per batch, merged with
+  // combine = true.
+  for (bool keyed : {true, false}) {
+    for (bool runwise : {true, false}) {
+      if (!keyed && runwise) continue;
+      PhysOp op = Breaker(PhysOpKind::kAggregate);
+      op.out_cols.clear();
+      if (keyed) {
+        op.group_keys.push_back({Expr::MakeVar("a"), "a"});
+        op.out_cols.push_back("a");
+      }
+      op.aggs.push_back({AggFunc::kCount, nullptr, "n"});
+      op.aggs.push_back({AggFunc::kSum, Expr::MakeVar("a"), "s"});
+      if (!runwise) {
+        op.aggs.push_back({AggFunc::kCount, Expr::MakeVar("b"), "nb"});
+        op.aggs.push_back({AggFunc::kMin, Expr::MakeVar("b"), "lo"});
+        op.aggs.push_back({AggFunc::kMax, Expr::MakeVar("b"), "hi"});
+      }
+      for (const auto& a : op.aggs) op.out_cols.push_back(a.alias);
+      const size_t width = op.out_cols.size();
+      Ref ref = [keyed, width](const std::vector<Row>& r) {
+        std::vector<Row> out = RefAggregate(r, keyed);
+        for (Row& o : out) o.resize(width);
+        return out;
+      };
+      const std::string tag = std::string(keyed ? "keyed" : "keyless") +
+                              (runwise ? " group-only args" : "");
+      cases.push_back({"aggregate " + tag,
+                       [&k, op](const std::vector<Batch>& in) {
+                         return k.Aggregate(op, in).ToRows();
+                       },
+                       ref});
+      cases.push_back({"aggregate combine " + tag,
+                       [&k, op](const std::vector<Batch>& in) {
+                         std::vector<Batch> partials;
+                         for (const Batch& b : in) {
+                           partials.push_back(k.Aggregate(op, {b}));
+                         }
+                         return k.Aggregate(op, partials, /*combine=*/true)
+                             .ToRows();
+                       },
+                       ref});
+    }
+  }
+
+  // Join build plus probe: every kind, the input joined with itself.
+  const std::pair<JoinKind, const char*> kinds[] = {
+      {JoinKind::kInner, "inner"},
+      {JoinKind::kLeftOuter, "left outer"},
+      {JoinKind::kSemi, "semi"},
+      {JoinKind::kAnti, "anti"}};
+  for (const auto& named : kinds) {
+    const JoinKind kind = named.first;
+    PhysOp op(PhysOpKind::kHashJoin);
+    op.children = {Layout({"a", "b"}), Layout({"a", "c"})};
+    op.join_keys = {"a"};
+    op.join_kind = kind;
+    op.out_cols = {"a", "b"};
+    if (kind == JoinKind::kInner || kind == JoinKind::kLeftOuter) {
+      op.out_cols.push_back("c");
+    }
+    cases.push_back({std::string("join ") + named.second,
+                     [&k, op](const std::vector<Batch>& in) {
+                       const JoinHashTable ht = k.BuildJoinTable(op, in);
+                       std::vector<Batch> out;
+                       for (const Batch& b : in) {
+                         out.push_back(k.JoinProbeBatch(op, b, ht));
+                       }
+                       return RowsFromBatches(out);
+                     },
+                     [kind](const std::vector<Row>& r) {
+                       return RefJoin(r, kind);
+                     }});
+  }
+
+  // Every case over the whole input, over no batches, and over each
+  // batch alone.
+  const std::vector<Batch> all = BreakerInputs();
+  std::vector<std::vector<Batch>> inputs = {all, {}};
+  for (const Batch& b : all) inputs.push_back({b});
+  for (const Case& c : cases) {
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      EXPECT_EQ(c.run(inputs[i]), c.ref(RowsFromBatches(inputs[i])))
+          << c.name << " on input set " << i;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -124,6 +124,52 @@ TEST(EndToEnd, DistinctAndUnion) {
   EXPECT_EQ(distinct.NumRows(), 3u);
 }
 
+TEST(EndToEnd, UnionMapsPermutedColumnsOnBothRuntimes) {
+  // The right branch returns (y, x) while the union's layout is (x, y):
+  // both runtimes must map its columns by name before splicing (and, for
+  // UNION, deduplicating). Held against kNoOpt as a multiset, plus a
+  // direct check that column x holds the ids on every row.
+  auto g = TinyGraph();
+  EngineOptions noopt;
+  noopt.mode = PlannerMode::kNoOpt;
+  GOptEngine ref(g.get(), BackendSpec::Neo4jLike(), noopt);
+  GOptEngine morsel(g.get(), BackendSpec::Neo4jLike());
+  GOptEngine dist(g.get(), BackendSpec::GraphScopeLike(2));
+  struct Case {
+    const char* query;
+    size_t rows;
+  };
+  const Case cases[] = {
+      {"MATCH (a:Person) RETURN a.id AS x, a.name AS y UNION ALL "
+       "MATCH (b:Person) RETURN b.name AS y, b.id AS x",
+       6},
+      {"MATCH (a:Person) RETURN a.id AS x, a.name AS y UNION "
+       "MATCH (b:Person) RETURN b.name AS y, b.id AS x",
+       3},
+      {"MATCH (a:Person)-[:Knows]->(c:Person) RETURN a.id AS x, a.name AS y "
+       "UNION ALL MATCH (b:Person) RETURN b.name AS y, b.id AS x",
+       5},
+      {"MATCH (a:Person)-[:Knows]->(c:Person) RETURN a.id AS x, a.name AS y "
+       "UNION MATCH (b:Person) RETURN b.name AS y, b.id AS x",
+       3},
+  };
+  for (const Case& c : cases) {
+    const ExecOutcome want = ref.Run(c.query);
+    EXPECT_EQ(want.NumRows(), c.rows) << c.query;
+    for (GOptEngine* e : {&morsel, &dist}) {
+      const ExecOutcome got = e->Run(c.query);
+      EXPECT_TRUE(got.SameRows(want))
+          << c.query << ": got " << got.NumRows() << " want " << want.NumRows();
+      const int x = got.table().ColIndex("x");
+      ASSERT_GE(x, 0) << c.query;
+      for (const Row& r : got.table().rows) {
+        EXPECT_EQ(r[static_cast<size_t>(x)].kind(), Value::Kind::kInt)
+            << c.query;
+      }
+    }
+  }
+}
+
 TEST(EndToEnd, AggregatesOverEmptyAndNulls) {
   auto g = TinyGraph();
   GOptEngine engine(g.get(), BackendSpec::Neo4jLike());

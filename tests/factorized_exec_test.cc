@@ -235,7 +235,7 @@ TEST_F(FactorizedExecTest, FilterOnGroupColumnMatchesFlat) {
   EXPECT_EQ(k.FilterSelection(sel, fact), k.FilterSelection(sel, flat));
 }
 
-TEST_F(FactorizedExecTest, AggregateBatchRowsMatchesRowAggregate) {
+TEST_F(FactorizedExecTest, AggregateRunwiseMatchesFlattenedInput) {
   Kernels k(ldbc_->graph.get());
   PhysOp agg(PhysOpKind::kAggregate);
   agg.children = {MakeLayout({"a", "b"})};
@@ -246,17 +246,28 @@ TEST_F(FactorizedExecTest, AggregateBatchRowsMatchesRowAggregate) {
 
   std::vector<Batch> fact;
   fact.push_back(MakeFactorized());
+  // The same batches flattened first: Aggregate sees no groups and takes
+  // the per-row path.
+  std::vector<Batch> flat = fact;
+  for (Batch& b : flat) b.FlattenGroups();
+  ASSERT_FALSE(flat[0].factorized());
   // Keys and args read only the group column: consumed run-at-a-time
   // without expansion; result must still match the flat row loop exactly,
   // including group order.
-  std::vector<Row> viaRows = k.Aggregate(agg, RowsFromBatches(fact));
-  EXPECT_EQ(k.AggregateBatchRows(agg, fact), viaRows);
+  const std::vector<Row> viaRows = k.Aggregate(agg, flat).ToRows();
+  EXPECT_EQ(k.Aggregate(agg, fact).ToRows(), viaRows);
+  EXPECT_EQ(viaRows,
+            (std::vector<Row>{{Value(static_cast<int64_t>(10)),
+                               Value(static_cast<int64_t>(3)),
+                               Value(static_cast<int64_t>(30))},
+                              {Value(static_cast<int64_t>(20)),
+                               Value(static_cast<int64_t>(2)),
+                               Value(static_cast<int64_t>(40))}}));
 
   // A per-row argument forces the row-at-a-time fallback — same result.
   agg.aggs.push_back({AggFunc::kMax, Expr::MakeVar("b"), "m"});
   agg.out_cols = {"a", "n", "s", "m"};
-  EXPECT_EQ(k.AggregateBatchRows(agg, fact),
-            k.Aggregate(agg, RowsFromBatches(fact)));
+  EXPECT_EQ(k.Aggregate(agg, fact).ToRows(), k.Aggregate(agg, flat).ToRows());
 
   // Keyless aggregate over an empty factorized batch still yields one row.
   PhysOp global(PhysOpKind::kAggregate);
@@ -266,7 +277,7 @@ TEST_F(FactorizedExecTest, AggregateBatchRowsMatchesRowAggregate) {
   std::vector<Batch> empty;
   empty.emplace_back(2);
   empty.back().InitFactorized({1, 1});
-  std::vector<Row> out = k.AggregateBatchRows(global, empty);
+  const std::vector<Row> out = k.Aggregate(global, empty).ToRows();
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0][0], Value(static_cast<int64_t>(0)));
 }

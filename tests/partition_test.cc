@@ -440,24 +440,34 @@ TEST_F(PartitionTest, MergeSortedLimitMatchesFullSort) {
   op->limit = 7;
   // Three worker lists with overlapping keys and cross-list ties on x.
   auto row = [](int64_t x, int64_t y) { return Row{Value(x), Value(y)}; };
-  std::vector<std::vector<Row>> parts = {
+  const std::vector<std::vector<Row>> lists = {
       {row(1, 9), row(2, 5), row(5, 1)},
       {row(1, 9), row(1, 2), row(3, 3), row(9, 0)},
       {row(0, 4), row(2, 5), row(2, 4)}};
   // Each list must be locally sorted by the op's keys first.
-  std::vector<Row> concat;
-  for (auto& p : parts) {
-    p = k.SortLimit(*op, std::move(p));
-    for (const Row& r : p) concat.push_back(r);
+  std::vector<Batch> parts;
+  for (const auto& l : lists) {
+    parts.push_back(k.SortLimit(*op, {Batch::FromRows(l, 2)}));
   }
   // The merge must equal a stable re-sort of the worker-order
   // concatenation — including tie-breaks and the limit cutoff.
-  std::vector<Row> want = k.SortLimit(*op, concat);
-  std::vector<Row> got = k.MergeSortedLimit(*op, parts);
+  std::vector<Row> want = k.SortLimit(*op, parts).ToRows();
+  std::vector<Row> got = k.MergeSortedLimit(*op, parts).ToRows();
   ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(got[i], want[i]) << "row " << i;
   }
+
+  // Worker-order tie-break: rows whose sort keys tie are told apart by a
+  // column outside the keys, and the lower worker's row must come first.
+  auto by_x = std::make_shared<PhysOp>(PhysOpKind::kOrder);
+  by_x->children = {child};
+  by_x->out_cols = child->out_cols;
+  by_x->sort_items = {{Expr::MakeVar("x"), /*asc=*/true}};
+  std::vector<Batch> tied = {Batch::FromRows({row(1, 20), row(2, 21)}, 2),
+                             Batch::FromRows({row(1, 10), row(2, 11)}, 2)};
+  EXPECT_EQ(k.MergeSortedLimit(*by_x, tied).ToRows(),
+            (std::vector<Row>{row(1, 20), row(1, 10), row(2, 21), row(2, 11)}));
 }
 
 TEST_F(PartitionTest, DistributedOrderMatchesSequentialTopK) {
