@@ -1,17 +1,11 @@
-// Micro benchmarks (google-benchmark): the memory-bounded result cache and
-// the batched shared sub-pattern cache (docs/result-cache.md).
+// Micro benchmark (google-benchmark): the memory-bounded result cache
+// (docs/result-cache.md).
 //
 // BM_ResultCacheHit is the acceptance benchmark for the hit path: the same
 // prepared query executed cold (cached:0 — no result cache, every
 // iteration runs the full operator tree) vs. against a warm cache
 // (cached:1 — every iteration is a key build + sharded LRU probe + shared
 // table handout). The hit path must be >= 10x faster than the cold path.
-//
-// BM_SubPatternShared measures per-batch sub-pattern sharing with the
-// result cache OFF, so the delta is purely the splice: a 4-entry batch of
-// one expensive pattern shape executed individually (shared:0) vs. through
-// ExecuteBatch (shared:1 — the shared sub-plan is materialized once and
-// spliced into every consumer as a cached-scan leaf).
 #include <benchmark/benchmark.h>
 
 #include "src/engine/engine.h"
@@ -60,43 +54,6 @@ void BM_ResultCacheHit(benchmark::State& state) {
 }
 BENCHMARK(BM_ResultCacheHit)
     ->ArgName("cached")
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
-// Recorded baseline (dev container, 1 CPU visible, Release):
-//   BM_SubPatternShared/shared:0   9.11 ms   rows=1
-//   BM_SubPatternShared/shared:1   2.68 ms   rows=1   -> 3.4x on 4 consumers
-// Four consumers pay roughly one materialization of the shared pattern
-// plus four cached-scan replays instead of four full executions; the gain
-// approaches Nx as the shared subtree dominates and N grows.
-void BM_SubPatternShared(benchmark::State& state) {
-  const auto& g = *SharedGraph().graph;
-  const bool shared = state.range(0) != 0;
-  // Result cache off: cross-iteration caching would hide the per-batch
-  // splice this benchmark isolates.
-  GOptEngine engine(&g, BackendSpec::Neo4jLike());
-  engine.SetGlogue(SharedGlogue());
-  const std::string q =
-      SubstituteParams(QcQueries()[0].cypher, DefaultParams());
-  const std::vector<BatchQuery> batch(4, BatchQuery(q));
-  auto prep = engine.Prepare(q);
-  size_t rows = 0;
-  for (auto _ : state) {
-    if (shared) {
-      auto outs = engine.ExecuteBatch(batch);
-      rows = outs.back().NumRows();
-    } else {
-      for (size_t i = 0; i < batch.size(); ++i) {
-        rows = engine.Execute(prep).NumRows();
-      }
-    }
-    benchmark::DoNotOptimize(rows);
-  }
-  state.counters["rows"] = static_cast<double>(rows);
-}
-BENCHMARK(BM_SubPatternShared)
-    ->ArgName("shared")
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);

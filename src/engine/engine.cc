@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "src/common/str_format.h"
-#include "src/engine/subpattern.h"
 #include "src/lang/parameterize.h"
 #include "src/opt/factorization.h"
 
@@ -160,10 +159,7 @@ RebalanceReport GOptEngine::RebalancePartitions(const RebalanceOptions& opts) {
   // their keys just became unreachable for this engine — drop exactly this
   // graph's entries of that epoch. Result-cache entries are dropped by the
   // same (graph, partition epoch) scope across all glogue epochs; peer
-  // graphs, live epochs, and the partition-invariant sub-pattern entries
-  // (scoped with partition_epoch 0 under '\x01sub' keys that never embed a
-  // partition epoch) are untouched except on the first rebalance, where
-  // the old epoch IS 0 — the same first-bump collateral SetGlogue accepts.
+  // graphs and live epochs are untouched.
   const std::string graph_tag = std::to_string(g_->instance_id());
   const std::string pepoch_tag = std::to_string(rep.old_epoch);
   plan_cache_->EraseIf([&graph_tag, &pepoch_tag](const std::string& key) {
@@ -393,9 +389,7 @@ ResultTable GOptEngine::RunPhysical(const PhysOpPtr& root,
   }
   // The morsel-driven batch runtime (see docs/executor.md). At one worker
   // every morsel runs inline on the calling thread; a sharded store scans
-  // partition-granular morsels. An ad-hoc plan (a spliced consumer or a
-  // sub-pattern subtree) comes without `pipelines`; the executor then
-  // builds its decomposition with the same factorization knob.
+  // partition-granular morsels.
   MorselOptions mopts;
   mopts.threads = opts_.exec_threads;
   mopts.factorization = opts_.factorization;
@@ -500,165 +494,6 @@ ExecOutcome GOptEngine::Run(const std::string& query, Language lang) const {
 ExecOutcome GOptEngine::Run(const std::string& query, const ParamMap& params,
                             Language lang) const {
   return Execute(Prepare(query, lang), params);
-}
-
-std::vector<ExecOutcome> GOptEngine::ExecuteBatch(
-    const std::vector<BatchQuery>& batch) const {
-  const size_t n = batch.size();
-  std::vector<ExecOutcome> out(n);
-  std::vector<Prepared> preps;
-  preps.reserve(n);
-  std::vector<ParamMap> bounds(n);
-  std::vector<std::string> rkeys(n);
-  std::vector<bool> done(n, false);
-
-  // Phase 1: prepare everything, validate bindings, and answer what the
-  // result cache already knows — cache hits never reach the sharing pass.
-  for (size_t i = 0; i < n; ++i) {
-    preps.push_back(Prepare(batch[i].query, batch[i].lang));
-    const Prepared& prep = preps.back();
-    bounds[i] = prep.params;
-    for (const auto& [name, value] : batch[i].params) {
-      bounds[i][name] = value;
-    }
-    for (const auto& name : prep.required_params) {
-      if (!bounds[i].count(name)) {
-        throw std::runtime_error("ExecuteBatch: unbound parameter $" + name +
-                                 " in batch entry " + std::to_string(i));
-      }
-    }
-    if (prep.invalid || !prep.physical) {
-      auto empty = std::make_shared<ResultTable>();
-      empty->columns = prep.output_columns;
-      out[i].table_ptr = std::move(empty);
-      done[i] = true;
-      continue;
-    }
-    if (result_cache_) {
-      rkeys[i] = ResultCacheKey(prep.plan_key, prep.required_params,
-                                bounds[i]);
-      if (std::shared_ptr<const CachedResult> hit =
-              result_cache_->Get(rkeys[i])) {
-        out[i].table_ptr = hit->table;
-        out[i].stats.rows_produced = hit->rows_produced;
-        out[i].stats.result_cache_hit = true;
-        done[i] = true;
-      }
-    }
-  }
-
-  // One store snapshot for the whole batch: every shared sub-pattern and
-  // consumer plan executes on one ownership-map generation even if a
-  // rebalance lands mid-batch.
-  std::shared_ptr<const StoreState> store = SnapshotStore();
-
-  // Phase 2: find sub-plans shared across the remaining (miss) plans.
-  std::vector<PhysOpPtr> roots(n);
-  std::vector<const ParamMap*> boundp(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (!done[i]) roots[i] = preps[i].physical;
-    boundp[i] = &bounds[i];
-  }
-  const std::vector<SharedSubPlan> shared = FindSharedSubPlans(roots, boundp);
-
-  // Phase 3: materialize each shared sub-plan once (served from the
-  // result cache across batches when possible) and record, per consumer
-  // plan, the node -> cached-scan substitution and the rows_produced
-  // compensation that keeps batch metrics identical to standalone runs.
-  std::vector<std::map<const PhysOp*, PhysOpPtr>> splices(n);
-  std::vector<uint64_t> extra_rows(n, 0);
-  for (const SharedSubPlan& sp : shared) {
-    const size_t owner = sp.sites.front().first;
-    // Sub-pattern entries share the result cache under a reserved prefix:
-    // '\x01' cannot start a plan key (those begin with query text), and the
-    // graph id keeps engines over different graphs apart on a shared cache.
-    const std::string skey = std::string("\x01sub\x1f") +
-                             std::to_string(g_->instance_id()) + '\x1f' +
-                             sp.fingerprint;
-    std::shared_ptr<const std::vector<Row>> rows;
-    uint64_t sub_rows_produced = 0;
-    std::shared_ptr<const CachedResult> hit =
-        result_cache_ ? result_cache_->Get(skey) : nullptr;
-    if (hit) {
-      // Aliasing share of the cached table's row vector — zero-copy.
-      rows = std::shared_ptr<const std::vector<Row>>(hit->table,
-                                                     &hit->table->rows);
-      sub_rows_produced = hit->rows_produced;
-    } else {
-      ExecStats sub_stats;
-      auto sub_table = std::make_shared<ResultTable>(RunPhysical(
-          sp.representative, nullptr, bounds[owner], store.get(),
-          &sub_stats));
-      rows = std::shared_ptr<const std::vector<Row>>(sub_table,
-                                                     &sub_table->rows);
-      sub_rows_produced = sub_stats.rows_produced;
-      if (result_cache_) {
-        CachedResult entry;
-        entry.table = sub_table;
-        entry.rows_produced = sub_rows_produced;
-        result_cache_->Put(skey,
-                           PlanCacheScope{g_->instance_id(),
-                                          preps[owner].glogue_epoch},
-                           std::move(entry));
-      }
-    }
-    PhysOpPtr scan = MakeCachedScan(*sp.representative, rows);
-    for (const auto& [plan_idx, node] : sp.sites) {
-      splices[plan_idx][node] = scan;
-      // Standalone, the subtree's operators would have emitted
-      // sub_rows_produced rows; spliced, only the cached scan emits its
-      // rows.size(). Compensate so rows_produced parity holds.
-      extra_rows[plan_idx] += sub_rows_produced - rows->size();
-    }
-  }
-
-  // Phase 4: execute — spliced plans where sharing applies, the prepared
-  // plan (with its frozen pipeline decomposition) otherwise.
-  for (size_t i = 0; i < n; ++i) {
-    if (done[i]) {
-      if (result_cache_) out[i].stats.result_cache = result_cache_->stats();
-      continue;
-    }
-    const Prepared& prep = preps[i];
-    auto t0 = std::chrono::steady_clock::now();
-    std::shared_ptr<ResultTable> table;
-    if (splices[i].empty()) {
-      table = std::make_shared<ResultTable>(
-          RunPhysical(prep.physical, prep.exec_pipelines.get(), bounds[i],
-                      store.get(), &out[i].stats));
-    } else {
-      PhysOpPtr spliced = SplicePlan(prep.physical, splices[i]);
-      table = std::make_shared<ResultTable>(
-          RunPhysical(spliced, nullptr, bounds[i], store.get(),
-                      &out[i].stats));
-      out[i].stats.rows_produced += extra_rows[i];
-    }
-    out[i].table_ptr = table;
-    auto t1 = std::chrono::steady_clock::now();
-    out[i].ms =
-        std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0)
-            .count() /
-        1000.0;
-    if (result_cache_) {
-      CachedResult entry;
-      entry.table = table;
-      entry.rows_produced = out[i].stats.rows_produced;
-      result_cache_->Put(rkeys[i],
-                         PlanCacheScope{g_->instance_id(), prep.glogue_epoch,
-                                        prep.partition_epoch},
-                         std::move(entry));
-      out[i].stats.result_cache = result_cache_->stats();
-    }
-  }
-  return out;
-}
-
-std::vector<ExecOutcome> GOptEngine::RunBatch(
-    const std::vector<std::string>& queries, Language lang) const {
-  std::vector<BatchQuery> batch;
-  batch.reserve(queries.size());
-  for (const std::string& q : queries) batch.emplace_back(q, ParamMap{}, lang);
-  return ExecuteBatch(batch);
 }
 
 std::string GOptEngine::Explain(const Prepared& prep) const {

@@ -116,17 +116,6 @@ struct ExecOutcome {
   }
 };
 
-/// One entry of GOptEngine::ExecuteBatch: a query plus its $name bindings.
-struct BatchQuery {
-  std::string query;
-  ParamMap params;
-  Language lang = Language::kCypher;
-
-  BatchQuery() = default;
-  BatchQuery(std::string q, ParamMap p = {}, Language l = Language::kCypher)
-      : query(std::move(q)), params(std::move(p)), lang(l) {}
-};
-
 /// GOptEngine: the end-to-end facade. Planning runs as a declarative pass
 /// pipeline (opt/pipeline) selected by PlannerMode — parse -> RBO -> type
 /// inference -> CBO -> physical conversion — followed by execution on the
@@ -200,22 +189,6 @@ class GOptEngine {
   /// Prepare + Execute with explicit $name parameter bindings.
   ExecOutcome Run(const std::string& query, const ParamMap& params,
                   Language lang = Language::kCypher) const;
-
-  /// Executes a batch of queries with shared sub-pattern caching
-  /// (docs/result-cache.md): after per-query result-cache consults, the
-  /// remaining plans are scanned for structurally identical sub-plans
-  /// (under their effective bindings); each shared sub-plan is
-  /// materialized once and spliced into every consumer as a cached-scan
-  /// leaf before execution. Outcomes are index-aligned with `batch` and
-  /// identical (bit-for-bit tables, same logical rows_produced) to running
-  /// each query alone — only the work is shared, never the semantics.
-  /// Const and re-entrant like Execute.
-  std::vector<ExecOutcome> ExecuteBatch(
-      const std::vector<BatchQuery>& batch) const;
-  /// ExecuteBatch convenience over bare query strings.
-  std::vector<ExecOutcome> RunBatch(
-      const std::vector<std::string>& queries,
-      Language lang = Language::kCypher) const;
 
   /// Human-readable plan description (logical + pattern plans + physical +
   /// the per-pass PlanTrace with millisecond timings, per-pattern CBO
@@ -294,8 +267,8 @@ class GOptEngine {
   /// in-flight Prepare/Execute calls finish on the old store (their
   /// snapshot keeps it alive), new calls see the new one, and the plan /
   /// result caches are invalidated precisely — only this graph's entries
-  /// of the *old* partition epoch are dropped; other graphs, other
-  /// engines' epochs, and partition-invariant sub-pattern entries survive.
+  /// of the *old* partition epoch are dropped; other graphs and other
+  /// engines' epochs survive.
   /// Observed row counters reset on a successful migration. Results are
   /// never affected (ownership is results-invariant; differential-tested).
   /// Control-plane call like SetGlogue: safe against concurrent
@@ -351,11 +324,9 @@ class GOptEngine {
                      const CancelToken& cancel) const;
   /// Runs one physical plan on the configured backend with `bound`
   /// parameter bindings, accumulating metrics into *stats. `pipelines` is
-  /// the plan's prebuilt decomposition for the morsel runtime (null: built
-  /// on the fly — the spliced-plan path of ExecuteBatch). `store` is the
-  /// store generation snapshotted by the caller (one snapshot per
-  /// Execute/ExecuteBatch, so a whole call executes on one generation).
-  /// The shared backend-dispatch of Execute and ExecuteBatch.
+  /// the plan's prebuilt decomposition for the morsel runtime. `store` is
+  /// the store generation Execute snapshotted, so a whole call executes on
+  /// one generation.
   ResultTable RunPhysical(const PhysOpPtr& root, const PipelinePlan* pipelines,
                           const ParamMap& bound, const StoreState* store,
                           ExecStats* stats, const CancelToken& cancel = {}) const;
@@ -364,9 +335,8 @@ class GOptEngine {
   BackendSpec backend_;
   EngineOptions opts_;
   std::shared_ptr<SharedPreparedPlanCache> plan_cache_;
-  /// Memory-bounded cache of full query results and materialized shared
-  /// sub-patterns (docs/result-cache.md). Null when disabled
-  /// (result_cache_bytes == 0 and no injected handle).
+  /// Memory-bounded cache of full query results (docs/result-cache.md).
+  /// Null when disabled (result_cache_bytes == 0 and no injected handle).
   std::shared_ptr<ResultCache> result_cache_;
 
   /// Guards store_state_ swaps; mutable so const readers can snapshot.

@@ -30,25 +30,15 @@ size_t TotalRows(const std::vector<std::vector<Batch>>& parts) {
 
 }  // namespace
 
-void DistributedExecutor::CountConsumers(
-    const PhysOpPtr& op, std::map<const PhysOp*, int>* consumers) {
-  for (const PhysOpPtr& child : op->children) {
-    // A node reached again through a second parent contributes one more
-    // consumer edge but its subtree is already counted.
-    if ((*consumers)[child.get()]++ == 0) CountConsumers(child, consumers);
-  }
-}
-
 ResultTable DistributedExecutor::Execute(const PhysOpPtr& root) {
   memo_.clear();
   owner_tag_.clear();
-  consumers_.clear();
   stats_ = ExecStats{};
   stats_.partitions = workers_;
   stats_.store_cut_edges = pg_.total_cut_edges();
   stats_.store_vertex_balance = pg_.VertexBalance();
   stats_.partition_rows.assign(static_cast<size_t>(workers_), 0);
-  CountConsumers(root, &consumers_);
+  consumers_ = CountConsumers(*root);
   PartsPtr parts = Run(root);
   // Fresh executor per Execute, so the kernel dispatch counters started at
   // zero: the final values are this run's totals.
@@ -237,19 +227,6 @@ DistributedExecutor::PartsPtr DistributedExecutor::Run(const PhysOpPtr& op) {
         }
       });
       out_tag = op->alias;
-      break;
-    }
-    case PhysOpKind::kCachedScan: {
-      // Pre-materialized sub-pattern bindings: deal the rows round-robin
-      // over the workers. The stream is not ownership-partitioned on any
-      // vertex column (out_tag stays empty), so a later expansion stages
-      // it to the expansion source's owners like any unaligned stream.
-      const std::vector<Row>& rows = *op->cached_rows;
-      std::vector<Batch> dealt(W, Batch(op->out_cols.size()));
-      for (size_t i = 0; i < rows.size(); ++i) dealt[i % W].AppendRow(rows[i]);
-      for (size_t w = 0; w < W; ++w) {
-        if (!dealt[w].empty()) (*result)[w].push_back(std::move(dealt[w]));
-      }
       break;
     }
     case PhysOpKind::kExpandEdge:

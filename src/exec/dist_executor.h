@@ -128,10 +128,6 @@ class DistributedExecutor {
   /// is exchanged as a copy.
   const Parts* StageForExpansion(const PhysOp& op, const PartsPtr& in,
                                  Parts* staged, std::string* cur_tag);
-  /// Counts how many parent operators consume each node's output (DAG
-  /// nodes counted once per distinct parent edge).
-  static void CountConsumers(const PhysOpPtr& op,
-                             std::map<const PhysOp*, int>* consumers);
 
   Kernels k_;
   const PartitionedGraph& pg_;

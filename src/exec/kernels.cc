@@ -152,14 +152,6 @@ std::vector<ScanMorsel> Kernels::ScanMorsels(const PhysOp& op,
       out.push_back(m);
     }
   };
-  if (op.kind == PhysOpKind::kCachedScan) {
-    // The domain is the pre-materialized row vector, never the store: one
-    // global slicing regardless of partitioning (the rows are a finished
-    // sub-pattern materialization, not vertices with owners).
-    slice(true, kInvalidTypeId, -1,
-          op.cached_rows ? op.cached_rows->size() : 0);
-    return out;
-  }
   if (pstore_ != nullptr) {
     // Partition-major: each partition's morsels form one contiguous index
     // run, so the morsel queue can hand whole partitions to workers.
@@ -185,18 +177,6 @@ std::vector<ScanMorsel> Kernels::ScanMorsels(const PhysOp& op,
 }
 
 Batch Kernels::ScanBatch(const PhysOp& op, const ScanMorsel& m) const {
-  if (op.kind == PhysOpKind::kCachedScan) {
-    // Emit the morsel's slice of the cached rows verbatim. Counts as
-    // neither dispatch: there is no vectorized-vs-generic choice to make.
-    Batch cached(op.out_cols.size());
-    for (size_t c = 0; c < op.out_cols.size(); ++c) {
-      cached.col(c).reserve(m.end - m.begin);
-    }
-    for (size_t i = m.begin; i < m.end; ++i) {
-      cached.AppendRow((*op.cached_rows)[i]);
-    }
-    return cached;
-  }
   Batch out(1);
   const size_t domain = m.end - m.begin;
 
@@ -1270,16 +1250,29 @@ Batch Kernels::JoinProbeBatch(const PhysOp& op, const Batch& left,
 namespace {
 
 /// Each row's sort keys, evaluated once per row — the decoration SortLimit
-/// and MergeSortedLimit share, so their orders agree exactly.
+/// and MergeSortedLimit share, so their orders agree exactly. A sort item
+/// that names a column reads it straight from `all`; only other
+/// expressions gather the row to evaluate over.
 std::vector<std::vector<Value>> SortKeys(const ExprEval& eval,
                                          const PhysOp& op, const Batch& all) {
   ColMap cmap = MakeColMap(op.children[0]->out_cols);
+  std::vector<int> direct;  // per sort item: its column, or -1
+  bool gather = false;
+  for (const auto& item : op.sort_items) {
+    auto it = item.expr->kind == Expr::Kind::kVar ? cmap.find(item.expr->tag)
+                                                  : cmap.end();
+    direct.push_back(it == cmap.end() ? -1 : it->second);
+    gather = gather || direct.back() < 0;
+  }
   std::vector<std::vector<Value>> keys(all.size());
   Row scratch;
   for (size_t r = 0; r < all.size(); ++r) {
-    all.GatherRow(r, &scratch);
-    for (const auto& item : op.sort_items) {
-      keys[r].push_back(eval.Eval(*item.expr, scratch, cmap));
+    if (gather) all.GatherRow(r, &scratch);
+    keys[r].reserve(direct.size());
+    for (size_t i = 0; i < direct.size(); ++i) {
+      keys[r].push_back(
+          direct[i] >= 0 ? all.At(r, static_cast<size_t>(direct[i]))
+                         : eval.Eval(*op.sort_items[i].expr, scratch, cmap));
     }
   }
   return keys;

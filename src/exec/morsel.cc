@@ -112,7 +112,7 @@ ResultTable MorselExecutor::Execute(const PhysOpPtr& root,
     // every morsel inside RunPipeline): a breaker-heavy plan cannot run
     // a whole extra pipeline after its budget tripped.
     cancel_.Check();
-    RunPipeline(p);
+    RunPipeline(p, *plan);
   }
   // One executor instance per Execute, so the kernel counters started at
   // zero: the final values are this run's totals.
@@ -191,11 +191,20 @@ Batch MorselExecutor::ApplyChain(const Pipeline& p, const Batch& shared,
   return ApplyOpsOwned(p, 1, std::move(cur), cs);
 }
 
-void MorselExecutor::RunUnionSink(const Pipeline& p) {
+void MorselExecutor::RunUnionSink(const Pipeline& p,
+                                  const PipelinePlan& plan) {
   const PhysOp& op = *p.sink;
-  std::vector<Batch> in = results_.at(op.children[0].get());
-  for (const Batch& b : results_.at(op.children[1].get())) {
-    in.push_back(MapColumns(b, op.children[1]->out_cols, op.out_cols));
+  // A child's batches are moved out when the union is their only consumer
+  // and copied when another parent still reads them.
+  auto take = [&](const PhysOp* child) {
+    std::vector<Batch>& res = results_.at(child);
+    if (plan.ConsumersOf(child) > 1) return res;
+    return std::move(res);
+  };
+  std::vector<Batch> in = take(op.children[0].get());
+  for (Batch& b : take(op.children[1].get())) {
+    in.push_back(
+        MapColumns(std::move(b), op.children[1]->out_cols, op.out_cols));
   }
   Batch out = op.union_distinct ? k_.Dedup(op, in)
                                 : ConcatBatches(in, op.out_cols.size());
@@ -203,7 +212,7 @@ void MorselExecutor::RunUnionSink(const Pipeline& p) {
   results_[p.sink] = SplitBatch(std::move(out), opts_.batch_rows);
 }
 
-void MorselExecutor::RunPipeline(const Pipeline& p) {
+void MorselExecutor::RunPipeline(const Pipeline& p, const PipelinePlan& plan) {
   const auto t0 = std::chrono::steady_clock::now();
   // Pipelines run sequentially, so the counter deltas over this call are
   // exactly this pipeline's dispatches (workers within the pipeline have
@@ -215,7 +224,7 @@ void MorselExecutor::RunPipeline(const Pipeline& p) {
   ps.desc = p.ToString();
 
   if (p.source == nullptr) {
-    RunUnionSink(p);
+    RunUnionSink(p, plan);
   } else {
     // Build the hash tables of every probe stage in the chain (their build
     // sides materialized in dependency pipelines).
@@ -331,9 +340,6 @@ void MorselExecutor::RunPipeline(const Pipeline& p) {
         ps.groups += e.groups;
       }
       for (size_t i = 0; i < scan_rows.size(); ++i) {
-        // Cached-scan morsels carry partition -1 even on a sharded store
-        // (their rows are a materialized stream, not owned vertices).
-        if (scan_morsels[i].partition < 0) continue;
         stats_.partition_rows[static_cast<size_t>(
             scan_morsels[i].partition)] += scan_rows[i];
       }

@@ -135,7 +135,7 @@ class MorselExecutor {
     uint64_t groups = 0;
   };
 
-  void RunPipeline(const Pipeline& p);
+  void RunPipeline(const Pipeline& p, const PipelinePlan& plan);
   /// Streams one source batch through the pipeline's operator chain,
   /// accumulating per-operator counts into `*cs`. The owned overload
   /// filters in place (scan batches belong to the worker); the shared
@@ -151,7 +151,8 @@ class MorselExecutor {
   /// The pipeline's factorized / lazy_ops flags select factorized
   /// emission for the expansion kernels.
   Batch ApplyStreamingOp(const Pipeline& p, size_t i, const Batch& in) const;
-  void RunUnionSink(const Pipeline& p);
+  /// Splices a union's two materialized children (plus its dedup).
+  void RunUnionSink(const Pipeline& p, const PipelinePlan& plan);
 
   Kernels k_;
   const PartitionedGraph* pg_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <set>
 
 namespace gopt {
 
@@ -49,6 +48,11 @@ int PipelinePlan::ProducerOf(const PhysOp* op) const {
   return it == producer_.end() ? -1 : it->second;
 }
 
+int PipelinePlan::ConsumersOf(const PhysOp* op) const {
+  auto it = consumers_.find(op);
+  return it == consumers_.end() ? 0 : it->second;
+}
+
 std::string PipelinePlan::ToString() const {
   std::string s;
   for (const Pipeline& p : pipelines) {
@@ -64,23 +68,11 @@ std::string PipelinePlan::ToString() const {
 }
 
 PipelinePlan BuildPipelinePlan(const PhysOpPtr& root) {
-  // Per-node parent counts over the DAG: a node with more than one parent
-  // is materialized by exactly one pipeline (like the memoizing executors)
-  // and consumed as a source by every parent chain.
-  std::map<const PhysOp*, int> parents;
-  {
-    std::set<const PhysOp*> visited;
-    std::function<void(const PhysOp*)> walk = [&](const PhysOp* n) {
-      for (const auto& c : n->children) {
-        parents[c.get()]++;
-        if (visited.insert(c.get()).second) walk(c.get());
-      }
-    };
-    visited.insert(root.get());
-    walk(root.get());
-  }
-
+  // A node with more than one parent is materialized by exactly one
+  // pipeline (like the memoizing executors) and consumed as a source by
+  // every parent chain.
   PipelinePlan plan;
+  plan.consumers_ = CountConsumers(*root);
   // Returns the id of the pipeline materializing `node`, compiling its
   // dependency pipelines first (so `pipelines` ends up topologically
   // ordered; the root's pipeline is last).
@@ -104,9 +96,8 @@ PipelinePlan BuildPipelinePlan(const PhysOpPtr& root) {
       const PhysOp* cur =
           IsPipelineBreaker(node->kind) ? node->children[0].get() : node;
       while (true) {
-        const bool shared = cur != node && parents[cur] > 1;
-        if (cur->kind == PhysOpKind::kScanVertices ||
-            cur->kind == PhysOpKind::kCachedScan) {
+        const bool shared = cur != node && plan.ConsumersOf(cur) > 1;
+        if (cur->kind == PhysOpKind::kScanVertices) {
           if (shared) {
             p.deps.push_back(compile(cur));
             p.source = cur;

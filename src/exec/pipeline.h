@@ -81,12 +81,15 @@ struct PipelinePlan {
 
   /// The pipeline materializing `op`'s output, or -1.
   int ProducerOf(const PhysOp* op) const;
+  /// Parent operators consuming `op`'s output (0 for the root).
+  int ConsumersOf(const PhysOp* op) const;
 
   std::string ToString() const;
 
  private:
   friend PipelinePlan BuildPipelinePlan(const PhysOpPtr& root);
   std::map<const PhysOp*, int> producer_;
+  std::map<const PhysOp*, int> consumers_;
 };
 
 /// Splits the operator tree at pipeline breakers (PhysOpPipelineRole) into

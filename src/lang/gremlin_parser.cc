@@ -221,7 +221,6 @@ void GremlinParser::ParseMatchArg(TokenCursor* c, TraversalState* st) {
 }
 
 void GremlinParser::ParseSteps(TokenCursor* c, TraversalState* st) {
-  GraphIrBuilder b;
   while (c->Accept(".")) {
     std::string step = c->ExpectIdent();
     c->Expect("(");

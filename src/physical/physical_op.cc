@@ -1,11 +1,12 @@
 #include "src/physical/physical_op.h"
 
+#include <functional>
+
 namespace gopt {
 
 const char* PhysOpKindName(PhysOpKind k) {
   switch (k) {
     case PhysOpKind::kScanVertices: return "Scan";
-    case PhysOpKind::kCachedScan: return "CachedScan";
     case PhysOpKind::kExpandEdge: return "Expand";
     case PhysOpKind::kExpandIntersect: return "ExpandIntersect";
     case PhysOpKind::kPathExpand: return "PathExpand";
@@ -25,9 +26,6 @@ const char* PhysOpKindName(PhysOpKind k) {
 PipelineRole PhysOpPipelineRole(PhysOpKind k) {
   switch (k) {
     case PhysOpKind::kScanVertices:
-    // A cached scan is a source like any vertex scan: its domain (the
-    // materialized row vector) slices into morsels.
-    case PhysOpKind::kCachedScan:
       return PipelineRole::kSource;
     case PhysOpKind::kExpandEdge:
     case PhysOpKind::kExpandIntersect:
@@ -67,6 +65,19 @@ bool HasVectorizedFastPath(PhysOpKind k) {
   }
 }
 
+std::map<const PhysOp*, int> CountConsumers(const PhysOp& root) {
+  std::map<const PhysOp*, int> consumers;
+  std::function<void(const PhysOp&)> walk = [&](const PhysOp& op) {
+    for (const PhysOpPtr& child : op.children) {
+      // A node reached again through a second parent contributes one more
+      // consumer edge but its subtree is already counted.
+      if (consumers[child.get()]++ == 0) walk(*child);
+    }
+  };
+  walk(root);
+  return consumers;
+}
+
 namespace {
 
 /// Appends " <label> p1 p2 ..." when `preds` is non-empty.
@@ -84,10 +95,6 @@ std::string PhysOp::ToString(const GraphSchema& schema, int indent) const {
   std::string pad(static_cast<size_t>(indent) * 2, ' ');
   std::string s = pad + PhysOpKindName(kind);
   switch (kind) {
-    case PhysOpKind::kCachedScan:
-      s += " [" + std::to_string(cached_rows ? cached_rows->size() : 0) +
-           " rows]";
-      break;
     case PhysOpKind::kScanVertices:
       s += " " + alias + " (" + vtc.ToString(schema, true) + ")";
       AppendPreds(&s, "where", vertex_preds);

@@ -1,10 +1,10 @@
 #pragma once
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "src/exec/result.h"
 #include "src/gir/logical_op.h"
 
 namespace gopt {
@@ -15,7 +15,6 @@ namespace gopt {
 /// kExpandIntersect steps).
 enum class PhysOpKind {
   kScanVertices,     ///< scan a vertex type (+pushed filters)
-  kCachedScan,       ///< emit pre-materialized rows (shared sub-pattern cache)
   kExpandEdge,       ///< flattened adjacency expansion / edge check
   kExpandIntersect,  ///< WCOJ-style multi-arm neighborhood intersection
   kPathExpand,       ///< variable-length path expansion
@@ -56,13 +55,6 @@ struct PhysOp {
   /// factorization chooser (src/opt/factorization.cc) to estimate per-step
   /// fan-outs; never affects results.
   double est_rows = -1;
-
-  // kCachedScan: rows materialized ahead of execution (one shared
-  // sub-pattern's bindings, spliced in by GOptEngine::ExecuteBatch, or a
-  // test-constructed stream). Layout is `out_cols`; shared_ptr so any
-  // number of consumer plans (and their cached Prepareds) alias one
-  // materialization. A leaf: no children.
-  std::shared_ptr<const std::vector<Row>> cached_rows;
 
   // kScanVertices / expansion targets
   std::string alias;              ///< bound vertex alias (scan/expand target)
@@ -133,5 +125,10 @@ bool IsPipelineBreaker(PhysOpKind k);
 /// to annotate the physical plan; dispatch itself is decided per call from
 /// the actual inputs.
 bool HasVectorizedFastPath(PhysOpKind k);
+
+/// How many parent operators consume each node's output in the plan under
+/// `root`: a DAG node shared by two parents (after ComSubPattern) counts
+/// 2. The root itself is absent.
+std::map<const PhysOp*, int> CountConsumers(const PhysOp& root);
 
 }  // namespace gopt

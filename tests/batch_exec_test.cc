@@ -230,10 +230,14 @@ std::vector<Row> RefAggregate(const std::vector<Row>& rows, bool keyed) {
 }
 
 std::vector<Row> RefSort(std::vector<Row> rows, const PhysOp& op) {
+  // A sort item names column a or b, or is the computed key -a.
+  auto key = [](const SortItem& it, const Row& r) {
+    if (it.expr->kind != Expr::Kind::kVar) return I(-r[0].AsInt());
+    return r[it.expr->tag == "a" ? 0 : 1];
+  };
   std::stable_sort(rows.begin(), rows.end(), [&](const Row& x, const Row& y) {
     for (const SortItem& it : op.sort_items) {
-      const size_t c = it.expr->tag == "a" ? 0 : 1;
-      const int cmp = x[c].Compare(y[c]);
+      const int cmp = key(it, x).Compare(key(it, y));
       if (cmp != 0) return it.asc ? cmp < 0 : cmp > 0;
     }
     return false;
@@ -314,15 +318,21 @@ TEST_F(BatchExecTest, BreakerKernelsMatchRowReference) {
                    }});
 
   // SortLimit and the k-way merge of per-batch ("per-worker") top-k lists,
-  // with ties on a alone and on (a desc, b asc); no limit, a cut, zero.
+  // with ties on a alone, on (a desc, b asc) and on (-a, b asc), whose
+  // computed first key is evaluated over the row while b is read from its
+  // column; no limit, a cut, zero.
+  const ExprPtr neg_a = Expr::MakeUnary(UnOp::kNeg, Expr::MakeVar("a"));
+  const std::vector<std::pair<std::vector<SortItem>, std::string>> orders = {
+      {{{Expr::MakeVar("a"), true}}, "(a)"},
+      {{{Expr::MakeVar("a"), false}, {Expr::MakeVar("b"), true}},
+       "(a desc, b)"},
+      {{{neg_a, true}, {Expr::MakeVar("b"), true}}, "(-a, b)"}};
   for (int64_t limit : {-1, 4, 0}) {
-    for (bool two_keys : {false, true}) {
+    for (const auto& [items, label] : orders) {
       PhysOp op = Breaker(PhysOpKind::kOrder);
       op.limit = limit;
-      op.sort_items = {{Expr::MakeVar("a"), /*asc=*/!two_keys}};
-      if (two_keys) op.sort_items.push_back({Expr::MakeVar("b"), true});
-      const std::string tag = std::string(two_keys ? "(a desc, b)" : "(a)") +
-                              " limit " + std::to_string(limit);
+      op.sort_items = items;
+      const std::string tag = label + " limit " + std::to_string(limit);
       Ref ref = [op](const std::vector<Row>& r) { return RefSort(r, op); };
       cases.push_back({"sort" + tag,
                        [&k, op](const std::vector<Batch>& in) {
@@ -518,6 +528,42 @@ TEST_F(BatchExecTest, JoinBuildSideIsADependencyPipeline) {
   EXPECT_NE(explain.find("=== Pipelines (morsel runtime) ==="),
             std::string::npos);
   (void)saw_probe;
+}
+
+TEST_F(BatchExecTest, UnionCopiesOnlySharedChildren) {
+  // A union sink moves a child's batches out when it is their only
+  // consumer. Here `x` feeds both sides of the inner union and the outer
+  // union, so each of those reads must still see all of its rows; the
+  // inner union feeds only the outer one and is moved.
+  auto engine = MakeEngine(1);
+  Prepared prep = engine->Prepare(
+      "MATCH (p:Person) WHERE p.id < 20 RETURN p.id AS x");
+  const PhysOpPtr x = prep.physical;
+  auto union_all = [&](PhysOpPtr l, PhysOpPtr r) {
+    auto u = std::make_shared<PhysOp>(PhysOpKind::kUnion);
+    u->children = {std::move(l), std::move(r)};
+    u->out_cols = x->out_cols;
+    return u;
+  };
+  const PhysOpPtr inner = union_all(x, x);
+  const PhysOpPtr root = union_all(inner, x);
+  const PipelinePlan plan = BuildPipelinePlan(root);
+  EXPECT_EQ(plan.ConsumersOf(x.get()), 3);
+  EXPECT_EQ(plan.ConsumersOf(inner.get()), 1);
+
+  ResultTable want = engine->Execute(prep).table();
+  ASSERT_GT(want.NumRows(), 0u);
+  const std::vector<Row> once = want.rows;
+  for (int copy = 0; copy < 2; ++copy) {
+    want.rows.insert(want.rows.end(), once.begin(), once.end());
+  }
+  for (int threads : {1, 4}) {
+    MorselOptions mopts;
+    mopts.threads = threads;
+    MorselExecutor ex(ldbc_->graph.get(), mopts);
+    ex.set_params(&prep.params);
+    EXPECT_TRUE(ex.Execute(root, &plan).SameRows(want)) << threads;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -208,7 +208,9 @@ TEST_F(PartitionTest, PartitionsCoverEveryVertexExactlyOnce) {
         ASSERT_TRUE(seen.insert(v).second) << "vertex owned twice";
         ASSERT_EQ(pg->OwnerOf(v), p);
         ASSERT_EQ(pg->Vertices(p)[pg->LocalIndexOf(v)], v);
-        if (!first) ASSERT_GT(v, prev) << "owned list must ascend";
+        if (!first) {
+          ASSERT_GT(v, prev) << "owned list must ascend";
+        }
         prev = v;
         first = false;
       }

@@ -1,16 +1,15 @@
-// Suite for the memory-bounded result cache and shared sub-pattern cache
+// Suite for the memory-bounded per-query result cache
 // (docs/result-cache.md): ResultCache unit tests (byte-budget LRU
 // eviction order, oversized-entry refusal, epoch-precise EraseScope, key
 // injectivity over bound parameter values), engine-level behavior
 // (zero-copy hits, cross-engine sharing, SetGlogue invalidation that
 // spares peers, Explain surfacing), a concurrent hit/insert/evict stress
-// with an epoch bump mid-stress (TSan-targeted), batched execution with
-// shared sub-pattern splicing, and — the core contract — a randomized
-// differential harness: seeded random (workload x parameter binding)
-// draws executed with cache {off, on, shared-across-engines} across
-// exec_threads {1, 4} x partitions {0, 4} x factorization {off, auto},
-// asserting identical tables and logical rows_produced parity against an
-// uncached sequential reference.
+// with an epoch bump mid-stress (TSan-targeted), and — the core contract —
+// a randomized differential harness: seeded random (workload x parameter
+// binding) draws executed with cache {off, on, shared-across-engines}
+// across exec_threads {1, 4} x partitions {0, 4} x factorization {off,
+// auto}, asserting identical tables and logical rows_produced parity
+// against an uncached sequential reference.
 //
 // The seed defaults to a fixed value for reproducible CI; the nightly job
 // randomizes it via GOPT_DIFF_SEED (always printed, so any failure names
@@ -288,56 +287,6 @@ TEST_F(ResultCacheTest, ExplainSurfacesResultCache) {
   auto off = MakeEngine();
   EXPECT_NE(off->Explain(off->Prepare(q)).find("result cache: disabled"),
             std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Batched execution with shared sub-pattern caching
-// ---------------------------------------------------------------------------
-
-TEST_F(ResultCacheTest, BatchSplicesSharedSubPattern) {
-  // Morsel runtime (threads=4) so pipeline descriptions record the splice;
-  // no result cache — per-batch sharing must work on its own.
-  auto e = MakeEngine(4);
-  const std::string q = Q(IcQueries()[5].cypher);
-  ExecOutcome solo = MakeEngine()->Run(q);
-  std::vector<ExecOutcome> batch = e->RunBatch({q, q});
-  ASSERT_EQ(batch.size(), 2u);
-  bool spliced = false;
-  for (const ExecOutcome& out : batch) {
-    EXPECT_TRUE(out.SameRows(solo));
-    EXPECT_EQ(out.stats.rows_produced, solo.stats.rows_produced)
-        << "splicing must compensate the shared subtree's operator rows";
-    for (const PipelineStat& p : out.stats.pipelines) {
-      spliced = spliced || p.desc.find("CachedScan") != std::string::npos;
-    }
-  }
-  EXPECT_TRUE(spliced) << "identical batch entries must share a sub-plan";
-}
-
-TEST_F(ResultCacheTest, BatchDistinctQueriesMatchIndividualRuns) {
-  auto e = MakeEngine(4, 0, FactorizationMode::kAuto, 4 << 20);
-  auto ref = MakeEngine();
-  std::vector<std::string> queries = {
-      Q(IcQueries()[1].cypher), Q(IcQueries()[2].cypher),
-      Q(QrQueries()[4].cypher), Q(IcQueries()[1].cypher)};
-  std::vector<ExecOutcome> batch = e->RunBatch(queries);
-  ASSERT_EQ(batch.size(), queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    ExecOutcome solo = ref->Run(queries[i]);
-    EXPECT_TRUE(batch[i].SameRows(solo)) << queries[i];
-    EXPECT_EQ(batch[i].stats.rows_produced, solo.stats.rows_produced);
-  }
-  // Re-issuing the batch is answered entirely from the result cache.
-  // (Duplicate entries share one cached materialization — the repeated Put
-  // of the first batch kept the last execution's table, so hits are
-  // compared by content, and the duplicates by pointer among themselves.)
-  std::vector<ExecOutcome> again = e->RunBatch(queries);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_TRUE(again[i].stats.result_cache_hit) << i;
-    EXPECT_TRUE(again[i].SameRows(batch[i])) << i;
-  }
-  EXPECT_EQ(again[0].table_ptr.get(), again[3].table_ptr.get())
-      << "duplicate queries must share one zero-copy table";
 }
 
 // ---------------------------------------------------------------------------

@@ -808,7 +808,6 @@ TEST_F(VectorizedExecTest, HasVectorizedFastPathClassification) {
   EXPECT_TRUE(HasVectorizedFastPath(PhysOpKind::kExpandIntersect));
   EXPECT_FALSE(HasVectorizedFastPath(PhysOpKind::kExpandEdge));
   EXPECT_FALSE(HasVectorizedFastPath(PhysOpKind::kAggregate));
-  EXPECT_FALSE(HasVectorizedFastPath(PhysOpKind::kCachedScan));
 }
 
 }  // namespace
