@@ -6,6 +6,7 @@
 //   - Alt-plan1/2: hand-fixed bidirectional splits at other positions.
 #include "bench/bench_common.h"
 #include "src/lang/cypher_parser.h"
+#include "src/opt/factorization.h"
 #include "src/opt/rbo.h"
 #include "src/physical/converter.h"
 
@@ -148,11 +149,15 @@ int main() {
       plans[match.get()] = SplitPlan(match->pattern, split, opt);
       PhysicalConverter conv(&g.schema());
       auto phys = conv.Convert(logical, plans);
-      DistributedExecutor ex(&g, *store);
+      // The engine's execution path for this backend: the distributed
+      // pipeline decomposition with the default factorization choice.
+      PipelinePlan pipelines = BuildPipelinePlan(phys, backend.distributed);
+      ChooseFactorization(&pipelines, FactorizationMode::kAuto);
       std::vector<double> ms;
       for (int i = 0; i < repeats; ++i) {
+        MorselExecutor ex(&g, MorselOptions{}, store.get());
         auto t0 = std::chrono::steady_clock::now();
-        ex.Execute(phys);
+        ex.Execute(phys, &pipelines);
         auto t1 = std::chrono::steady_clock::now();
         ms.push_back(
             std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0)

@@ -29,6 +29,7 @@ GOptEngine::GOptEngine(const PropertyGraph* g, BackendSpec backend,
                        EngineOptions opts)
     : g_(g),
       backend_(std::move(backend)),
+      backend_hash_(HashBackendSpec(backend_)),
       opts_(opts),
       // An injected cache is shared with its other engines; otherwise the
       // engine gets a private one. Sized unconditionally so
@@ -283,14 +284,20 @@ Prepared GOptEngine::PlanQuery(const std::string& query, Language lang,
   prep.output_columns = std::move(ctx.output_columns);
   prep.trace = std::make_shared<const PlanTrace>(std::move(ctx.trace));
   if (prep.physical) {
-    PipelinePlan pp = BuildPipelinePlan(prep.physical);
-    // Freeze the per-pipeline factorize / lazy / flatten decisions into
-    // the cached plan (the knob is part of OptionsFingerprint for exactly
-    // this reason).
-    ChooseFactorization(&pp, opts_.factorization);
-    prep.exec_pipelines = std::make_shared<const PipelinePlan>(std::move(pp));
+    prep.exec_pipelines = std::make_shared<const PipelinePlan>(
+        BuildExecPipelines(prep.physical));
   }
   return prep;
+}
+
+PipelinePlan GOptEngine::BuildExecPipelines(const PhysOpPtr& root) const {
+  // Exchange placement and the per-pipeline factorize / lazy / flatten
+  // decisions are frozen into the cached plan: the executing backend is
+  // part of every plan-cache key and the factorization knob part of
+  // OptionsFingerprint for exactly this reason.
+  PipelinePlan pp = BuildPipelinePlan(root, backend_.distributed);
+  ChooseFactorization(&pp, opts_.factorization);
+  return pp;
 }
 
 Prepared GOptEngine::Prepare(const std::string& query, Language lang,
@@ -328,6 +335,7 @@ Prepared GOptEngine::Prepare(const std::string& query, Language lang,
   scope.graph = g_->instance_id();
   scope.glogue_epoch = stats.epoch;
   scope.partition_epoch = pepoch;
+  scope.backend = backend_hash_;
   const std::string key =
       PlanCacheKeyFromCanonical(pq.text, lang, opts_, scope);
   if (!opts_.enable_plan_cache) {
@@ -369,32 +377,22 @@ ResultTable GOptEngine::RunPhysical(const PhysOpPtr& root,
                                     const StoreState* store,
                                     ExecStats* stats,
                                     const CancelToken& cancel) const {
-  // A fresh executor per call: all execution state (operator memo, stats)
-  // is call-local, so any number of Execute calls may run concurrently on
-  // one engine. The caller's store snapshot pins one ownership-map
-  // generation for the whole call (a concurrent rebalance cannot pull it
-  // out from under the executor).
-  const PartitionedGraph* pstore = store ? store->store.get() : nullptr;
-  if (backend_.distributed) {
-    // One worker per store partition, ownership-map exchanges. A
-    // distributed engine always has a store (see StorePartitions).
-    DistributedExecutor ex(g_, *pstore, pool_.get());
-    ex.set_params(&bound);
-    ex.set_vectorize(opts_.vectorize);
-    ex.set_cancel(cancel);
-    ResultTable table = ex.Execute(root);
-    *stats = ex.stats();
-    ObservePartitionRows(*stats);
-    return table;
+  // A fresh executor per call: all execution state (results, stats) is
+  // call-local, so any number of Execute calls may run concurrently on one
+  // engine. The caller's store snapshot pins one ownership-map generation
+  // for the whole call (a concurrent rebalance cannot pull it out from
+  // under the executor). Every pipeline gets the pool's threads plus the
+  // calling thread as worker slots; at one slot every morsel runs inline.
+  PipelinePlan local;
+  if (pipelines == nullptr) {
+    local = BuildExecPipelines(root);
+    pipelines = &local;
   }
-  // The morsel-driven batch runtime (see docs/executor.md). At one worker
-  // every morsel runs inline on the calling thread; a sharded store scans
-  // partition-granular morsels.
   MorselOptions mopts;
-  mopts.threads = opts_.exec_threads;
-  mopts.factorization = opts_.factorization;
+  mopts.threads = pool_->threads() + 1;
   mopts.vectorize = opts_.vectorize;
-  MorselExecutor ex(g_, mopts, pstore, pool_.get());
+  MorselExecutor ex(g_, mopts, store ? store->store.get() : nullptr,
+                    pool_.get());
   ex.set_params(&bound);
   ex.set_cancel(cancel);
   ResultTable table = ex.Execute(root, pipelines);
@@ -587,12 +585,9 @@ std::string GOptEngine::Explain(const Prepared& prep) const {
         "  vectorize: %s, %zu of %zu operators have a fast path\n",
         opts_.vectorize ? "on" : "off", eligible, total);
   }
-  if (!backend_.distributed) {
-    s += "=== Pipelines (morsel runtime) ===\n";
-    s += prep.exec_pipelines
-             ? prep.exec_pipelines->ToString()
-             : BuildPipelinePlan(prep.physical).ToString();
-  }
+  s += "=== Pipelines (morsel runtime) ===\n";
+  s += prep.exec_pipelines ? prep.exec_pipelines->ToString()
+                           : BuildExecPipelines(prep.physical).ToString();
   return s;
 }
 

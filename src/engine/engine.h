@@ -8,7 +8,6 @@
 #include "src/common/cancel.h"
 #include "src/common/worker_pool.h"
 #include "src/engine/result_cache.h"
-#include "src/exec/dist_executor.h"
 #include "src/exec/morsel.h"
 #include "src/exec/result.h"
 #include "src/opt/pipeline/pipelines.h"
@@ -118,16 +117,17 @@ struct ExecOutcome {
 
 /// GOptEngine: the end-to-end facade. Planning runs as a declarative pass
 /// pipeline (opt/pipeline) selected by PlannerMode — parse -> RBO -> type
-/// inference -> CBO -> physical conversion — followed by execution on the
-/// configured backend: GraphScope-like distributed, or single-machine on
-/// the morsel-driven batch runtime with exec_threads workers (see
+/// inference -> CBO -> physical conversion -> pipeline decomposition —
+/// followed by execution on the morsel-driven batch runtime with one
+/// worker slot per engine pool thread plus the caller (see
 /// docs/executor.md). The distributed backend always shards its graph
 /// into a PartitionedGraph at construction (docs/storage.md) —
 /// EngineOptions::partitions partitions, or BackendSpec::num_workers at
-/// partitions == 0 — and runs one worker per partition with ownership-map
-/// exchanges; the single-machine backend shards only at partitions > 0
-/// and then scans partition-granular morsels. Whenever a store exists the
-/// CBO prices communication with its measured edge-cut.
+/// partitions == 0 — and its pipeline plans run breakers per partition and
+/// exchange rows by ownership and key; the single-machine backend shards
+/// only at partitions > 0 and then scans partition-granular morsels.
+/// Whenever a store exists the CBO prices communication with its measured
+/// edge-cut.
 ///
 /// Prepared plans are a prepared-statement subsystem, not just a memoizer:
 /// Prepare first auto-parameterizes the query (constant tokens become $__pN
@@ -322,17 +322,23 @@ class GOptEngine {
   Prepared PlanQuery(const std::string& query, Language lang,
                      const StatsSnapshot& stats, const StoreState* store,
                      const CancelToken& cancel) const;
-  /// Runs one physical plan on the configured backend with `bound`
-  /// parameter bindings, accumulating metrics into *stats. `pipelines` is
-  /// the plan's prebuilt decomposition for the morsel runtime. `store` is
-  /// the store generation Execute snapshotted, so a whole call executes on
-  /// one generation.
+  /// The backend's pipeline decomposition of `root` (distributed or not),
+  /// with the configured factorization decisions frozen in.
+  PipelinePlan BuildExecPipelines(const PhysOpPtr& root) const;
+  /// Runs one physical plan on the morsel runtime with `bound` parameter
+  /// bindings, accumulating metrics into *stats. `pipelines` is the plan's
+  /// prebuilt decomposition (built here when null). `store` is the store
+  /// generation Execute snapshotted, so a whole call executes on one
+  /// generation.
   ResultTable RunPhysical(const PhysOpPtr& root, const PipelinePlan* pipelines,
                           const ParamMap& bound, const StoreState* store,
                           ExecStats* stats, const CancelToken& cancel = {}) const;
 
   const PropertyGraph* g_;
   BackendSpec backend_;
+  /// HashBackendSpec(backend_): the plan-cache scope of this engine's
+  /// backend, hashed once.
+  const size_t backend_hash_;
   EngineOptions opts_;
   std::shared_ptr<SharedPreparedPlanCache> plan_cache_;
   /// Memory-bounded cache of full query results (docs/result-cache.md).
@@ -349,11 +355,12 @@ class GOptEngine {
   mutable std::mutex obs_mu_;
   mutable std::vector<uint64_t> observed_rows_;
 
-  /// The persistent worker threads both parallel runtimes run on
+  /// The persistent worker threads the runtime runs on
   /// (docs/concurrency.md): max(store partitions, resolved exec_threads)
   /// - 1 of them, started here once, so Execute never starts a thread; each
-  /// Execute's calling thread works alongside them. Zero threads (every
-  /// stage inline) for a single-machine backend at the default options.
+  /// Execute's calling thread works alongside them, so every pipeline gets
+  /// threads() + 1 worker slots. Zero threads (every stage inline) for a
+  /// single-machine backend at the default options.
   std::unique_ptr<WorkerPool> pool_;
 
   /// Guards the lazily built statistics handles and the epoch; mutable so

@@ -5,13 +5,6 @@
 
 namespace gopt {
 
-void Batch::AppendRow(const Row& r) {
-  assert(!sel_active_);
-  assert(!factorized_);
-  assert(r.size() == cols_.size());
-  for (size_t c = 0; c < cols_.size(); ++c) cols_[c].push_back(r[c]);
-}
-
 void Batch::GatherRow(size_t i, Row* out) const {
   const uint32_t p = PhysIndex(i);
   out->resize(cols_.size());
@@ -163,13 +156,6 @@ Batch Batch::GatherPhys(const std::vector<uint32_t>& phys) const {
   return out;
 }
 
-Batch Batch::FromRows(const std::vector<Row>& rows, size_t num_cols) {
-  Batch b(num_cols);
-  for (auto& c : b.cols_) c.reserve(rows.size());
-  for (const Row& r : rows) b.AppendRow(r);
-  return b;
-}
-
 void Batch::AppendRowsTo(std::vector<Row>* out) const {
   // No reserve here: an exact per-call reserve would pin capacity and
   // force a reallocation per batch when concatenating many (callers that
@@ -262,6 +248,58 @@ Batch MapColumns(Batch b, const std::vector<std::string>& from,
                         ? Value()
                         : b.At(i, static_cast<size_t>(src - from.begin())));
     }
+  }
+  return out;
+}
+
+BatchParts ExchangeBatches(
+    BatchParts in, const std::function<size_t(const Batch&, size_t)>& target,
+    uint64_t* moved) {
+  const size_t W = in.size();
+  // Targets first, so every destination column is reserved once; then a
+  // column-at-a-time scatter that moves values out of the drained input.
+  std::vector<std::vector<std::vector<uint32_t>>> targets(W);
+  std::vector<size_t> counts(W, 0);
+  size_t ncols = 0;
+  for (size_t w = 0; w < W; ++w) {
+    targets[w].resize(in[w].size());
+    for (size_t bi = 0; bi < in[w].size(); ++bi) {
+      const Batch& b = in[w][bi];
+      ncols = b.num_cols();
+      std::vector<uint32_t>& t = targets[w][bi];
+      t.resize(b.size());
+      for (size_t i = 0; i < b.size(); ++i) {
+        t[i] = static_cast<uint32_t>(target(b, i));
+        if (t[i] != w) ++*moved;
+        counts[t[i]]++;
+      }
+    }
+  }
+  std::vector<Batch> dest(W, Batch(ncols));
+  for (size_t d = 0; d < W; ++d) {
+    for (size_t c = 0; c < ncols; ++c) dest[d].col(c).reserve(counts[d]);
+  }
+  for (size_t w = 0; w < W; ++w) {
+    for (size_t bi = 0; bi < in[w].size(); ++bi) {
+      Batch& b = in[w][bi];
+      const std::vector<uint32_t>& t = targets[w][bi];
+      for (size_t c = 0; c < ncols; ++c) {
+        if (b.col_is_group(c)) {
+          for (size_t i = 0; i < t.size(); ++i) {
+            dest[t[i]].col(c).push_back(b.At(i, c));
+          }
+        } else {
+          std::vector<Value>& col = b.col(c);
+          for (size_t i = 0; i < t.size(); ++i) {
+            dest[t[i]].col(c).push_back(std::move(col[b.PhysIndex(i)]));
+          }
+        }
+      }
+    }
+  }
+  BatchParts out(W);
+  for (size_t d = 0; d < W; ++d) {
+    if (!dest[d].empty()) out[d].push_back(std::move(dest[d]));
   }
   return out;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -44,10 +45,8 @@ struct TypedView {
 /// logical rows the group stands for; columns whose values were never
 /// stored read as null (only emitted when provably dead downstream).
 ///
-/// Conversion to and from the row representation is lossless: for any
-/// row vector R, Batch::FromRows(R).ToRows() == R, and for any batch B,
-/// Batch::FromRows(B.ToRows()) holds the same active rows in the same
-/// order (with the selection compacted and groups expanded away).
+/// Conversion to the row representation is lossless: ToRows() yields the
+/// active rows in visit order, groups expanded.
 class Batch {
  public:
   Batch() = default;
@@ -95,10 +94,6 @@ class Batch {
     sel_active_ = true;
   }
 
-  /// Appends one row (values in column order) as an active physical row.
-  /// Only valid while no selection is installed and not factorized.
-  void AppendRow(const Row& r);
-
   /// Copies active row `i` into `*out` (resized to the column count).
   /// Kernels reuse one scratch row across calls to avoid reallocation.
   void GatherRow(size_t i, Row* out) const;
@@ -122,9 +117,6 @@ class Batch {
   /// not be mutated (e.g. a materialized source shared between parents).
   /// The copy is fully flat (groups expanded for the gathered rows).
   Batch GatherPhys(const std::vector<uint32_t>& phys) const;
-
-  /// Columnar form of `rows`; every row must have `num_cols` values.
-  static Batch FromRows(const std::vector<Row>& rows, size_t num_cols);
 
   /// Appends the active rows, in order, to `*out`.
   void AppendRowsTo(std::vector<Row>* out) const;
@@ -205,6 +197,18 @@ std::vector<Batch> SplitBatch(Batch b, size_t batch_rows);
 /// already agree.
 Batch MapColumns(Batch b, const std::vector<std::string>& from,
                  const std::vector<std::string>& to);
+
+/// One batch stream per partition: how a distributed plan's materialized
+/// results are held (index = partition).
+using BatchParts = std::vector<std::vector<Batch>>;
+
+/// Moves every active row of `in` to the partition `target(batch, row)`
+/// names, preserving order (source partition, then stream order). Returns
+/// one stream per partition of `in`, each holding at most one flat batch;
+/// adds the rows that changed partition to `*moved`.
+BatchParts ExchangeBatches(
+    BatchParts in, const std::function<size_t(const Batch&, size_t)>& target,
+    uint64_t* moved);
 
 /// Concatenates the active rows of `batches` into one row vector.
 std::vector<Row> RowsFromBatches(const std::vector<Batch>& batches);

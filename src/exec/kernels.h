@@ -35,10 +35,9 @@ struct JoinHashTable {
   std::vector<int> rappend;     ///< build columns appended to the output
 };
 
-/// Operator kernels shared by both runtimes: the morsel-driven runtime
-/// (src/exec/morsel.cc) and the distributed runtime
-/// (src/exec/dist_executor.cc) call them directly, and every kernel takes
-/// and returns columnar Batches. The streaming kernels (scan, expansions,
+/// Operator kernels of the morsel-driven runtime (src/exec/morsel.cc),
+/// which runs both backends' plans; every kernel takes and returns
+/// columnar Batches. The streaming kernels (scan, expansions,
 /// filter, project, unfold, join probe) map one batch to one batch,
 /// filters refining the selection vector in place. The blocking kernels
 /// (aggregate, sort/limit, dedup, join build) take a whole stream of

@@ -9,7 +9,6 @@
 #include "src/exec/kernels.h"
 #include "src/exec/pipeline.h"
 #include "src/exec/result.h"
-#include "src/opt/pipeline/planner_options.h"
 
 namespace gopt {
 
@@ -24,10 +23,6 @@ struct MorselOptions {
   /// Rows per batch when a breaker's materialized output is re-chunked
   /// into the next pipeline's morsels.
   size_t batch_rows = kDefaultBatchRows;
-  /// Factorized-intermediate mode applied when Execute has to build the
-  /// pipeline plan itself (no prebuilt plan passed). A prebuilt plan
-  /// carries its own frozen per-pipeline decisions and wins.
-  FactorizationMode factorization = FactorizationMode::kAuto;
   /// Kernel vectorized fast paths (docs/vectorization.md). Results are
   /// bit-identical on or off; off forces every kernel through the generic
   /// path (the differential suite's baseline).
@@ -61,49 +56,68 @@ class MorselQueue {
   std::vector<Slot> slots_;
 };
 
-/// The morsel-driven, batch-at-a-time parallel runtime: decomposes the
-/// physical plan into pipelines (src/exec/pipeline.h), splits every
-/// pipeline's source into morsels, and streams each morsel through the
-/// pipeline's operator chain on work-stealing worker slots (run on the
-/// caller-supplied WorkerPool, the calling thread included). Within a
-/// pipeline, each worker holds only the one in-flight batch of its
-/// current morsel — intermediate operator results are never retained.
-/// What does materialize is each pipeline's *output* (the sink), kept as
-/// the next pipeline's source; pipeline breakers (aggregate, sort, global
-/// limit, dedup, union, join build sides) additionally see their whole
-/// input at once when their blocking kernel runs.
+/// The morsel-driven, batch-at-a-time parallel runtime — the one runtime
+/// of both backends: decomposes the physical plan into pipelines
+/// (src/exec/pipeline.h), splits every pipeline's source into morsels, and
+/// streams each morsel through the pipeline's operator chain on
+/// work-stealing worker slots (run on the caller-supplied WorkerPool, the
+/// calling thread included). Within a pipeline, each worker holds only the
+/// one in-flight batch of its current morsel — intermediate operator
+/// results are never retained. What does materialize is each pipeline's
+/// *output* (the sink), kept as the next pipeline's source; pipeline
+/// breakers (aggregate, sort, global limit, dedup, union, join build sides)
+/// additionally see their whole input at once when their blocking kernel
+/// runs.
+///
+/// Every materialized batch keeps the partition that holds it: a scan
+/// morsel's store partition (0 without a store), inherited by everything
+/// streamed from it. On a distributed plan (PipelinePlan::distributed)
+/// breakers run once per partition and exchange sinks move rows between
+/// partitions (ExchangeBatches), counted in ExecStats::comm_rows and
+/// exchanges — the GraphScope-like backend's dataflow. On a single-machine
+/// plan breakers run once over every partition's rows and put their output
+/// on partition 0.
 ///
 /// With threads == 1 the runtime is fully sequential and deterministic;
 /// with N threads, results are identical (morsel outputs are reassembled
-/// in morsel order before any order-sensitive sink runs) and per-worker
-/// ExecStats are merged after every pipeline. The engine runs every
-/// single-machine Execute here, with EngineOptions::exec_threads
-/// workers; differential tests (tests/batch_exec_test.cc) hold it equal
-/// across thread counts and to the distributed executor on the same
-/// plans.
+/// in morsel order, partition-major, before any order-sensitive sink runs)
+/// and per-worker ExecStats are merged after every pipeline. The engine
+/// runs every Execute here with one worker slot per engine pool thread
+/// plus the caller; differential tests (tests/batch_exec_test.cc,
+/// tests/factorized_exec_test.cc) hold it equal across thread counts,
+/// partition counts and factorization modes, and to the unoptimized plans.
 ///
 /// It implements the full operator repertoire, including
 /// ExpandIntersect; which operators a plan may contain is the backend's
 /// plan-time choice (PhysicalSpec), not the runtime's.
 ///
-/// Thread-confinement: one instance per Execute call — same contract as
-/// the other executors. The pool it runs on is shared and outlives it.
+/// Thread-confinement: one instance per Execute call (it carries per-run
+/// results and stats). The pool it runs on is shared and outlives it.
 class MorselExecutor {
  public:
+  /// Pipelines whose source holds fewer rows than this, and per-partition
+  /// breaker stages over fewer input rows, run inline on the calling
+  /// thread: handing them to the pool costs more than it saves. Results
+  /// are identical either way.
+  static constexpr size_t kInlineStageRows = 2048;
+
   /// `pg` (optional) attaches a sharded store: scan pipelines then split
   /// into partition-granular morsels (one contiguous morsel run per
-  /// partition, handed to workers partition-at-a-time before stealing)
-  /// and ExecStats carries the per-partition scan row counts. Results are
-  /// differential-tested identical across partition counts. `pool`
-  /// (optional, must outlive Execute) runs the worker slots besides the
-  /// calling thread; without one every pipeline runs inline.
+  /// partition, handed to workers partition-at-a-time before stealing),
+  /// exchanges route vertices to their owners, and ExecStats carries the
+  /// per-partition row counts. Results are differential-tested identical
+  /// across partition counts. `pool` (optional, must outlive Execute) runs
+  /// the worker slots besides the calling thread; without one every
+  /// pipeline runs inline.
   explicit MorselExecutor(const PropertyGraph* g, MorselOptions opts = {},
                           const PartitionedGraph* pg = nullptr,
                           WorkerPool* pool = nullptr);
 
   /// Executes the plan. `plan` is an optional prebuilt decomposition of
   /// `root` (e.g. cached in a Prepared at planning time so warm-cache
-  /// executions skip the rebuild); when null it is built here.
+  /// executions skip the rebuild, and the only way to run a distributed
+  /// plan); when null a single-machine plan is built here, factorized at
+  /// FactorizationMode::kAuto.
   ResultTable Execute(const PhysOpPtr& root, const PipelinePlan* plan = nullptr);
 
   const ExecStats& stats() const { return stats_; }
@@ -126,9 +140,8 @@ class MorselExecutor {
   /// Per-worker counters of one pipeline chain, merged into ExecStats
   /// after the pool joins. `rows` counts logical rows (bindings
   /// represented — identical factorized or flat, which is what keeps
-  /// rows_produced parity with the other runtimes); `tuples` counts
-  /// physical tuples actually stored; `groups` the prefix-group entries
-  /// among them.
+  /// rows_produced independent of factorization); `tuples` counts physical
+  /// tuples actually stored; `groups` the prefix-group entries among them.
   struct ChainStats {
     uint64_t rows = 0;
     uint64_t tuples = 0;
@@ -136,35 +149,62 @@ class MorselExecutor {
   };
 
   void RunPipeline(const Pipeline& p, const PipelinePlan& plan);
+  /// Streams every morsel of the pipeline's source through its chain and
+  /// returns the chain's output by partition, in morsel order.
+  BatchParts RunChain(const Pipeline& p, PipelineStat* ps);
+  /// Runs the pipeline's blocking kernel over `in` (once per partition on
+  /// a distributed plan, once overall otherwise).
+  BatchParts RunBreaker(const Pipeline& p, BatchParts in);
+  /// Builds the hash table of every probe stage in the chain (one per
+  /// partition on a distributed plan) from its materialized build side.
+  void BuildJoinTables(const Pipeline& p, const PipelinePlan& plan);
+  /// Pipeline `id`'s output for one reader: moved out when it is the only
+  /// one, else copied.
+  BatchParts TakeResult(int id, const PipelinePlan& plan);
+  /// Re-partitions `in` as `ex` directs (see ExchangeSpec), counting one
+  /// exchange and every row that changes partition; returns `in` as is
+  /// for ExchangeSpec::Kind::kNone.
+  BatchParts Exchange(BatchParts in, const ExchangeSpec& ex, const PhysOp& sink);
+  /// Runs fn(w) for every partition w: on the pool when the stage's input
+  /// holds at least kInlineStageRows rows, else inline.
+  template <typename F>
+  void ForEachPartition(size_t input_rows, const F& fn) const;
+
   /// Streams one source batch through the pipeline's operator chain,
-  /// accumulating per-operator counts into `*cs`. The owned overload
-  /// filters in place (scan batches belong to the worker); the shared
-  /// overload copies only if the first operator is a filter (materialized
-  /// source batches may be consumed by several parents).
-  Batch ApplyChain(const Pipeline& p, Batch&& owned, ChainStats* cs) const;
-  Batch ApplyChain(const Pipeline& p, const Batch& shared,
+  /// accumulating per-operator counts into `*cs`; `part` is the batch's
+  /// partition. The owned overload filters in place (scan batches belong
+  /// to the worker); the shared overload copies only if the first operator
+  /// is a filter (materialized source batches may be consumed by several
+  /// parents).
+  Batch ApplyChain(const Pipeline& p, int part, Batch&& owned,
+                   ChainStats* cs) const;
+  Batch ApplyChain(const Pipeline& p, int part, const Batch& shared,
                    ChainStats* cs) const;
   /// Applies ops[from..] to an owned batch.
-  Batch ApplyOpsOwned(const Pipeline& p, size_t from, Batch cur,
+  Batch ApplyOpsOwned(const Pipeline& p, int part, size_t from, Batch cur,
                       ChainStats* cs) const;
   /// One non-filter streaming operator (ops[i]), batch in / batch out.
   /// The pipeline's factorized / lazy_ops flags select factorized
   /// emission for the expansion kernels.
-  Batch ApplyStreamingOp(const Pipeline& p, size_t i, const Batch& in) const;
-  /// Splices a union's two materialized children (plus its dedup).
-  void RunUnionSink(const Pipeline& p, const PipelinePlan& plan);
+  Batch ApplyStreamingOp(const Pipeline& p, int part, size_t i,
+                         const Batch& in) const;
 
   Kernels k_;
   const PartitionedGraph* pg_;
   WorkerPool* pool_;
   MorselOptions opts_;
   int threads_;
+  /// Partitions of every materialized result: the store's, 1 without one.
+  size_t parts_;
+  /// The running plan is distributed (PipelinePlan::distributed).
+  bool distributed_ = false;
   CancelToken cancel_;
   ExecStats stats_;
-  /// Materialized sink outputs, keyed by operator node (the DAG memo).
-  std::map<const PhysOp*, std::vector<Batch>> results_;
-  /// Join build sides, each table owning its build rows.
-  std::map<const PhysOp*, JoinHashTable> join_tables_;
+  /// Materialized sink outputs by pipeline id, one stream per partition.
+  std::vector<BatchParts> results_;
+  /// Join build sides, each table owning its build rows: one per partition
+  /// on a distributed plan, one in all otherwise.
+  std::map<const PhysOp*, std::vector<JoinHashTable>> join_tables_;
 };
 
 }  // namespace gopt

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <functional>
 
+#include "src/exec/kernels.h"
+
 namespace gopt {
 
 namespace {
@@ -17,6 +19,71 @@ std::string OpLabel(const PhysOp* op) {
     s += "(" + op->alias + ")";
   }
   return s;
+}
+
+bool IsExpansion(PhysOpKind k) {
+  return k == PhysOpKind::kExpandEdge || k == PhysOpKind::kExpandIntersect ||
+         k == PhysOpKind::kPathExpand;
+}
+
+int IndexOf(const std::vector<std::string>& cols, const std::string& c) {
+  const auto it = std::find(cols.begin(), cols.end(), c);
+  return it == cols.end() ? -1 : static_cast<int>(it - cols.begin());
+}
+
+std::vector<int> IndicesOf(const std::vector<std::string>& cols,
+                           const std::vector<std::string>& names) {
+  std::vector<int> idx;
+  for (const auto& n : names) idx.push_back(IndexOf(cols, n));
+  return idx;
+}
+
+std::vector<int> AllIndices(size_t n) {
+  std::vector<int> idx(n);
+  for (size_t i = 0; i < n; ++i) idx[i] = static_cast<int>(i);
+  return idx;
+}
+
+/// The vertex tag an expansion reads adjacency from, which its input must
+/// be partitioned by. ExpandIntersect reads every arm's adjacency; its
+/// first arm is the pivot the stream is distributed on (the other arms'
+/// reads are the intersection's irreducible remote lookups, which the
+/// cost model charges through the edge-cut profile).
+const std::string& ExpandSourceTag(const PhysOp& op) {
+  if (op.kind == PhysOpKind::kExpandIntersect && !op.arms.empty()) {
+    return op.arms[0].from_tag;
+  }
+  return op.from_tag;
+}
+
+/// The exchange a breaker sink of a distributed plan performs.
+ExchangeSpec BreakerExchange(const PhysOp& op) {
+  using K = ExchangeSpec::Kind;
+  switch (op.kind) {
+    case PhysOpKind::kAggregate:
+      // A keyless aggregate produces its one row on partition 0; a
+      // two-phase one exchanges partials, which have the output layout
+      // with the group keys first.
+      if (op.group_keys.empty()) return {K::kGather, {}};
+      if (SupportsPartialAgg(op)) {
+        return {K::kHash, AllIndices(op.group_keys.size())};
+      }
+      return {K::kGroupKeys, {}};
+    case PhysOpKind::kDedup: {
+      const auto& cols = op.children[0]->out_cols;
+      return {K::kHash, op.dedup_tags.empty()
+                            ? AllIndices(cols.size())
+                            : IndicesOf(cols, op.dedup_tags)};
+    }
+    case PhysOpKind::kUnion:
+      if (!op.union_distinct) return {};
+      return {K::kHash, AllIndices(op.out_cols.size())};
+    case PhysOpKind::kOrder:
+    case PhysOpKind::kLimit:
+      return {K::kGather, {}};
+    default:
+      return {};
+  }
 }
 
 }  // namespace
@@ -39,6 +106,17 @@ std::string Pipeline::ToString() const {
   } else {
     s += " => collect";
   }
+  if (exchange.kind != ExchangeSpec::Kind::kNone) {
+    static const char* const kNames[] = {"", "owner", "hash", "hash group keys",
+                                         "gather"};
+    s += std::string(" exchange(") + kNames[static_cast<int>(exchange.kind)];
+    for (int c : exchange.cols) {
+      s += exchange.kind == ExchangeSpec::Kind::kOwner
+               ? " " + sink->out_cols[static_cast<size_t>(c)]
+               : " #" + std::to_string(c);
+    }
+    s += ")";
+  }
   if (factorized) s += " [factorized]";
   return s;
 }
@@ -51,6 +129,19 @@ int PipelinePlan::ProducerOf(const PhysOp* op) const {
 int PipelinePlan::ConsumersOf(const PhysOp* op) const {
   auto it = consumers_.find(op);
   return it == consumers_.end() ? 0 : it->second;
+}
+
+int PipelinePlan::InputOf(const PhysOp* consumer, int child) const {
+  auto it = inputs_.find({consumer, child});
+  return it == inputs_.end() ? -1 : it->second;
+}
+
+int PipelinePlan::ReadersOf(int id) const {
+  int n = 0;
+  for (const Pipeline& p : pipelines) {
+    n += static_cast<int>(std::count(p.deps.begin(), p.deps.end(), id));
+  }
+  return n;
 }
 
 std::string PipelinePlan::ToString() const {
@@ -67,69 +158,156 @@ std::string PipelinePlan::ToString() const {
   return s;
 }
 
-PipelinePlan BuildPipelinePlan(const PhysOpPtr& root) {
+PipelinePlan BuildPipelinePlan(const PhysOpPtr& root, bool distributed) {
+  using K = ExchangeSpec::Kind;
   // A node with more than one parent is materialized by exactly one
-  // pipeline (like the memoizing executors) and consumed as a source by
-  // every parent chain.
+  // pipeline and consumed as a source by every parent chain.
   PipelinePlan plan;
+  plan.distributed = distributed;
   plan.consumers_ = CountConsumers(*root);
-  // Returns the id of the pipeline materializing `node`, compiling its
-  // dependency pipelines first (so `pipelines` ends up topologically
-  // ordered; the root's pipeline is last).
-  std::function<int(const PhysOp*)> compile = [&](const PhysOp* node) -> int {
-    auto it = plan.producer_.find(node);
-    if (it != plan.producer_.end()) return it->second;
 
-    Pipeline p;
-    p.sink = node;
-    if (node->kind == PhysOpKind::kUnion) {
-      // Union only splices two materialized inputs (plus an optional
-      // dedup); it runs as a sequential sink step with no morsel source.
-      p.deps.push_back(compile(node->children[0].get()));
-      p.deps.push_back(compile(node->children[1].get()));
-    } else {
-      // Descend the maximal streaming chain below the sink. The chain
-      // stops at a scan (morsel source), a breaker, or a node shared with
-      // another parent (both of the latter are materialized by their own
-      // pipelines and consumed here as a batch source).
-      std::vector<const PhysOp*> chain;
-      const PhysOp* cur =
-          IsPipelineBreaker(node->kind) ? node->children[0].get() : node;
-      while (true) {
-        const bool shared = cur != node && plan.ConsumersOf(cur) > 1;
-        if (cur->kind == PhysOpKind::kScanVertices) {
-          if (shared) {
-            p.deps.push_back(compile(cur));
-            p.source = cur;
-          } else {
-            p.source = cur;
-            p.source_is_scan = true;
+  // The vertex tag each node's output is partitioned by on a distributed
+  // plan ("" = no meaningful partitioning, e.g. after a key exchange).
+  std::map<const PhysOp*, std::string> tags;
+  std::function<const std::string&(const PhysOp*)> owner_tag =
+      [&](const PhysOp* op) -> const std::string& {
+    auto it = tags.find(op);
+    if (it != tags.end()) return it->second;
+    std::string tag;
+    const PhysOp* child = op->children.empty() ? nullptr : op->children[0].get();
+    switch (op->kind) {
+      case PhysOpKind::kScanVertices:
+        tag = op->alias;
+        break;
+      case PhysOpKind::kExpandEdge:
+      case PhysOpKind::kExpandIntersect:
+      case PhysOpKind::kPathExpand:
+        // Co-located with the source (exchanged there if needed), unless
+        // the source column is not materialized in the input row.
+        tag = ExpandSourceTag(*op);
+        if (!tag.empty() && IndexOf(child->out_cols, tag) < 0) {
+          tag = owner_tag(child);
+        }
+        break;
+      case PhysOpKind::kSelect:
+        tag = owner_tag(child);
+        break;
+      case PhysOpKind::kProject:
+        // Survives only if the partitioning column passes through under
+        // its own name.
+        for (const ProjectItem& item : op->items) {
+          if (item.alias == owner_tag(child) && item.expr &&
+              item.expr->kind == Expr::Kind::kVar && item.expr->tag == item.alias) {
+            tag = item.alias;
           }
-          break;
         }
-        if (shared || IsPipelineBreaker(cur->kind)) {
-          p.deps.push_back(compile(cur));
-          p.source = cur;
-          break;
-        }
-        chain.push_back(cur);
-        if (cur->kind == PhysOpKind::kHashJoin) {
-          // Build side: a breaker boundary — its subtree materializes
-          // before this pipeline probes it.
-          p.deps.push_back(compile(cur->children[1].get()));
-        }
-        cur = cur->children[0].get();
-      }
-      std::reverse(chain.begin(), chain.end());
-      p.ops = std::move(chain);
+        break;
+      case PhysOpKind::kUnfold:
+        if (owner_tag(child) != op->unfold_alias) tag = owner_tag(child);
+        break;
+      default:
+        break;
     }
+    return tags.emplace(op, std::move(tag)).first->second;
+  };
+  // The exchange a streaming consumer needs on its `child`-th input.
+  auto input_exchange = [&](const PhysOp* op, int child) -> ExchangeSpec {
+    if (!distributed) return {};
+    const PhysOp* in = op->children[static_cast<size_t>(child)].get();
+    if (op->kind == PhysOpKind::kHashJoin) {
+      return {K::kHash, IndicesOf(in->out_cols, op->join_keys)};
+    }
+    if (!IsExpansion(op->kind)) return {};
+    const std::string& need = ExpandSourceTag(*op);
+    const int idx = IndexOf(in->out_cols, need);
+    if (need.empty() || owner_tag(in) == need || idx < 0) return {};
+    return {K::kOwner, {idx}};
+  };
 
+  auto add = [&](Pipeline p) {
     p.id = static_cast<int>(plan.pipelines.size());
-    plan.producer_[node] = p.id;
     plan.pipelines.push_back(std::move(p));
     return plan.pipelines.back().id;
   };
-  compile(root.get());
+  // Returns the id of the pipeline materializing `node` re-partitioned by
+  // `ex` (for its one consumer that needs that), compiling its dependency
+  // pipelines first (so `pipelines` ends up topologically ordered; the
+  // root's pipeline is last).
+  std::function<int(const PhysOp*, const ExchangeSpec&)> compile;
+  // Fills `p`'s source and streaming chain: the maximal chain below
+  // `node`, which stops at a scan (morsel source), a breaker, a node
+  // shared with another parent, or an input that must be exchanged (each
+  // of the latter three is materialized by its own pipeline and consumed
+  // here as a batch source).
+  auto descend = [&](Pipeline* p, const PhysOp* node) {
+    std::vector<const PhysOp*> chain;
+    const PhysOp* cur =
+        IsPipelineBreaker(node->kind) ? node->children[0].get() : node;
+    while (true) {
+      const bool shared = cur != node && plan.ConsumersOf(cur) > 1;
+      if (cur->kind == PhysOpKind::kScanVertices && !shared) {
+        p->source = cur;
+        p->source_is_scan = true;
+        break;
+      }
+      if (shared || IsPipelineBreaker(cur->kind)) {
+        p->source = cur;
+        p->source_pipe = compile(cur, {});
+        break;
+      }
+      chain.push_back(cur);
+      if (cur->kind == PhysOpKind::kHashJoin) {
+        // Build side: a breaker boundary — its subtree materializes
+        // before this pipeline probes it.
+        const int build =
+            compile(cur->children[1].get(), input_exchange(cur, 1));
+        plan.inputs_[{cur, 1}] = build;
+        p->deps.push_back(build);
+      }
+      const ExchangeSpec ex = input_exchange(cur, 0);
+      if (ex.kind != K::kNone) {
+        p->source = cur->children[0].get();
+        p->source_pipe = compile(p->source, ex);
+        break;
+      }
+      cur = cur->children[0].get();
+    }
+    if (p->source_pipe >= 0) p->deps.push_back(p->source_pipe);
+    std::reverse(chain.begin(), chain.end());
+    p->ops = std::move(chain);
+  };
+  compile = [&](const PhysOp* node, const ExchangeSpec& ex) -> int {
+    Pipeline p;
+    p.sink = node;
+    if (ex.kind != K::kNone &&
+        (plan.ConsumersOf(node) > 1 || IsPipelineBreaker(node->kind))) {
+      // A shared or breaker node is exchanged by an extra pipeline over
+      // its materialized output.
+      p.source = node;
+      p.source_pipe = compile(node, {});
+      p.deps.push_back(p.source_pipe);
+      p.exchange = ex;
+      return add(std::move(p));
+    }
+    auto it = plan.producer_.find(node);
+    if (it != plan.producer_.end()) return it->second;
+    p.exchange = ex.kind != K::kNone || !distributed ? ex : BreakerExchange(*node);
+    if (node->kind == PhysOpKind::kUnion) {
+      // Union only splices two materialized inputs (plus an optional
+      // dedup); it runs as a sink step with no morsel source.
+      for (int c = 0; c < 2; ++c) {
+        const int in = compile(node->children[static_cast<size_t>(c)].get(), {});
+        plan.inputs_[{node, c}] = in;
+        p.deps.push_back(in);
+      }
+    } else {
+      descend(&p, node);
+    }
+    const int id = add(std::move(p));
+    plan.producer_[node] = id;
+    return id;
+  };
+  compile(root.get(), {});
   return plan;
 }
 

@@ -58,13 +58,13 @@ struct PipelineStat {
   uint64_t gen_dispatch = 0;  ///< kernel calls served by the generic path
 };
 
-/// Execution statistics shared by both runtimes.
+/// Execution statistics of one run, on either backend.
 ///
 /// `rows_produced` counts the rows *emitted by each operator* of the plan,
 /// summed over operators — each operator node exactly once, even when its
 /// output is shared by several parents (DAG plans after ComSubPattern) or
-/// processed morsel-at-a-time. Both runtimes (morsel and distributed) count
-/// it identically; tests assert parity.
+/// processed morsel-at-a-time. It does not depend on threads, partitions,
+/// factorization or the pipeline decomposition; tests assert parity.
 struct ExecStats {
   uint64_t rows_produced = 0;   ///< rows emitted per operator, summed
   /// Physical tuples the morsel runtime actually stored: scan output plus
@@ -73,11 +73,11 @@ struct ExecStats {
   /// filter stores nothing), plus deferred flattens and breaker outputs.
   /// With factorization off this tracks rows_produced; the off/on ratio is
   /// the measured intermediate-result compression (docs/factorization.md).
-  /// Populated by the morsel runtime only.
   uint64_t tuples_materialized = 0;
-  uint64_t comm_rows = 0;       ///< rows exchanged between workers (dist only)
-  uint64_t exchanges = 0;       ///< number of exchange steps (dist only)
-  std::vector<PipelineStat> pipelines;  ///< per-pipeline metrics (morsel only)
+  /// Rows that changed partition in an exchange (distributed plans only).
+  uint64_t comm_rows = 0;
+  uint64_t exchanges = 0;       ///< exchange steps (distributed plans only)
+  std::vector<PipelineStat> pipelines;  ///< per-pipeline metrics
 
   // Sharded-store metrics (docs/storage.md), populated only when the run
   // executed against a PartitionedGraph.
@@ -87,15 +87,16 @@ struct ExecStats {
   /// owned vertices per partition (PartitionedGraph::VertexBalance; 1.0 =
   /// perfectly balanced).
   double store_vertex_balance = 0;
-  /// Rows produced per partition: per worker-partition operator emissions
-  /// (distributed runtime) or per-partition scan-source rows (morsel
-  /// runtime) — the skew signal Explain surfaces and the engine accumulates
-  /// for RebalancePartitions (docs/storage.md). Its max/mean is the
-  /// per-run rows balance Explain reports next to the vertex balance.
+  /// Rows produced per partition: every operator's emitted rows (the
+  /// rows_produced count), charged to the partition holding the batch
+  /// that emitted them — a single-machine breaker's output counts on
+  /// partition 0. The skew signal Explain surfaces and the engine
+  /// accumulates for RebalancePartitions (docs/storage.md); its max/mean
+  /// is the per-run rows balance Explain reports next to the vertex
+  /// balance.
   std::vector<uint64_t> partition_rows;
 
-  // Vectorized-dispatch totals across the run (docs/vectorization.md),
-  // populated by every runtime.
+  // Vectorized-dispatch totals across the run (docs/vectorization.md).
   uint64_t vec_dispatch = 0;
   uint64_t gen_dispatch = 0;
 

@@ -146,7 +146,13 @@ void ChooseFactorization(PipelinePlan* plan, FactorizationMode mode) {
         }
         prev = op->est_rows > 0 ? op->est_rows : -1;
       }
-      choose = any_lazy || max_fanout >= 1.2 ||
+      // Groups pay off only where something consumes them: a later
+      // operator of the pipeline or an aggregating sink. A lone expansion
+      // that ends the chain into any other sink is flattened right away.
+      const bool consumed =
+          n_expansions >= 2 || !IsExpansion(p.ops.back()->kind) ||
+          (p.sink_is_breaker() && p.sink->kind == PhysOpKind::kAggregate);
+      choose = any_lazy || (consumed && max_fanout >= 1.2) ||
                (!saw_ratio && n_expansions >= 2);
     }
     if (!choose) continue;

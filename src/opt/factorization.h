@@ -17,9 +17,12 @@ namespace gopt {
 ///  - kAuto: factorize when a backward liveness walk from the sink proves
 ///    some expansion's produced columns dead (it can then emit
 ///    multiplicity-only groups — the biggest win), or the CBO's estimated
-///    per-step fan-out (PhysOp::est_rows ratios) exceeds a threshold, or —
-///    with no estimates at all — the pipeline chains two or more
-///    expansions (prefix sharing compounds per hop).
+///    per-step fan-out (PhysOp::est_rows ratios) exceeds a threshold and
+///    something consumes the groups (a lone expansion that ends the chain
+///    into a sink other than an aggregate, e.g. a distributed plan's
+///    exchange, is flattened right away), or — with no estimates at all —
+///    the pipeline chains two or more expansions (prefix sharing
+///    compounds per hop).
 ///
 /// The same liveness walk fills `lazy_ops`; `flatten_points` counts where
 /// the runtime will be forced to expand groups back to flat rows.

@@ -33,6 +33,8 @@ size_t HashDouble(double d) {
   return static_cast<size_t>(bits);
 }
 
+}  // namespace
+
 size_t HashBackendSpec(const BackendSpec& b) {
   size_t h = HashString(b.name);
   h = HashCombine(h, static_cast<size_t>(b.distributed));
@@ -42,8 +44,6 @@ size_t HashBackendSpec(const BackendSpec& b) {
   for (const auto& j : b.joins) h = HashCombine(h, HashString(j->Name()));
   return h;
 }
-
-}  // namespace
 
 uint64_t OptionsFingerprint(const EngineOptions& opts) {
   size_t h = static_cast<size_t>(opts.mode);
@@ -84,6 +84,8 @@ std::string PlanCacheKeyFromCanonical(const std::string& canonical_text,
   key.push_back(lang == Language::kCypher ? 'c' : 'g');
   key.push_back('\x1f');
   key += std::to_string(OptionsFingerprint(opts));
+  key.push_back('\x1f');
+  key += std::to_string(scope.backend);
   key.push_back('\x1f');
   key += std::to_string(scope.graph);
   key.push_back('\x1f');

@@ -200,6 +200,10 @@ std::string NormalizeQueryText(const std::string& query);
 /// identically.
 uint64_t OptionsFingerprint(const EngineOptions& opts);
 
+/// Hash of every plan-affecting BackendSpec field (name, distribution,
+/// workers, communication factor, registered physical specs).
+size_t HashBackendSpec(const BackendSpec& b);
+
 /// Identifies which engine-side state a cached plan was planned against,
 /// beyond the options fingerprint. Appended to every cache key so one
 /// SharedPlanCache can serve many engines without cross-contamination.
@@ -220,10 +224,16 @@ uint64_t OptionsFingerprint(const EngineOptions& opts);
 ///    id after Engine::RebalancePartitions migrates the map, so post-
 ///    migration lookups never hit plans priced against the old cut ratios
 ///    (docs/storage.md).
+///  - `backend`: HashBackendSpec of the executing backend. Planning
+///    consults it (its PhysicalSpec decides which operators a plan may
+///    contain) and the pipeline decomposition places a distributed
+///    backend's exchanges, so engines on different backends never share a
+///    plan; engines on the same backend still do.
 struct PlanCacheScope {
   uint64_t graph = 0;
   uint64_t glogue_epoch = 0;
   uint64_t partition_epoch = 0;
+  uint64_t backend = 0;
 };
 
 /// The full prepared-plan cache key (normalizes `query` first).

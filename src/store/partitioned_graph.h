@@ -28,8 +28,8 @@ struct PartitionStats {
 };
 
 /// A finalized PropertyGraph sharded into P partitions: the real storage
-/// layer behind the distributed executor's workers and the morsel
-/// runtime's partition-granular scan morsels (docs/storage.md).
+/// layer behind the morsel runtime's partition-granular scan morsels and
+/// a distributed plan's per-partition pipelines (docs/storage.md).
 ///
 /// Per partition it holds:
 ///  - the owned vertex list (ascending global ids; local index = position),

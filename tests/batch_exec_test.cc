@@ -1,7 +1,7 @@
 // Differential suite for the morsel-driven batch runtime: every bundled
 // workload query runs through the batch runtime at exec_threads 1 and 4
-// and must produce the same rows, and the one-worker runtime is held
-// against the distributed executor's independent operator walker on the
+// and must produce the same rows, the one-worker runtime is held against
+// the unoptimized plans and against the distributed decomposition of the
 // same plans; plus unit coverage for Batch row round-trips,
 // selection-vector edge cases, the breaker kernels against row
 // references, pipeline decomposition, the work-stealing morsel queue, and
@@ -18,6 +18,7 @@
 #include "src/exec/pipeline.h"
 #include "src/ldbc/ldbc.h"
 #include "src/workloads/queries.h"
+#include "tests/batch_rows.h"
 
 namespace gopt {
 namespace {
@@ -71,7 +72,7 @@ Row MixedRow(int64_t i) {
 TEST(BatchTest, RowRoundTripIsLossless) {
   std::vector<Row> rows;
   for (int64_t i = 0; i < 10; ++i) rows.push_back(MixedRow(i));
-  Batch b = Batch::FromRows(rows, 5);
+  Batch b = BatchFromRows(rows, 5);
   EXPECT_EQ(b.size(), 10u);
   EXPECT_EQ(b.num_cols(), 5u);
   std::vector<Row> back = b.ToRows();
@@ -80,7 +81,7 @@ TEST(BatchTest, RowRoundTripIsLossless) {
 }
 
 TEST(BatchTest, EmptyBatchRoundTrip) {
-  Batch b = Batch::FromRows({}, 3);
+  Batch b = BatchFromRows({}, 3);
   EXPECT_TRUE(b.empty());
   EXPECT_EQ(b.size(), 0u);
   EXPECT_FALSE(b.has_selection());
@@ -92,7 +93,7 @@ TEST(BatchTest, EmptyBatchRoundTrip) {
 TEST(BatchTest, SelectionVectorFiltersAndReorders) {
   std::vector<Row> rows;
   for (int64_t i = 0; i < 6; ++i) rows.push_back(MixedRow(i));
-  Batch b = Batch::FromRows(rows, 5);
+  Batch b = BatchFromRows(rows, 5);
   b.SetSelection({4, 1, 3});
   EXPECT_TRUE(b.has_selection());
   EXPECT_EQ(b.size(), 3u);
@@ -113,7 +114,7 @@ TEST(BatchTest, SelectionVectorFiltersAndReorders) {
 
 TEST(BatchTest, AllFilteredBatchIsActiveEmptySelection) {
   std::vector<Row> rows = {MixedRow(0), MixedRow(1)};
-  Batch b = Batch::FromRows(rows, 5);
+  Batch b = BatchFromRows(rows, 5);
   b.SetSelection({});  // every row filtered out
   EXPECT_TRUE(b.has_selection());
   EXPECT_TRUE(b.empty());
@@ -126,7 +127,7 @@ TEST(BatchTest, AllFilteredBatchIsActiveEmptySelection) {
 TEST(BatchTest, SplitBatchSplitsAtGranularity) {
   std::vector<Row> rows;
   for (int64_t i = 0; i < 10; ++i) rows.push_back(Row{Value(i)});
-  std::vector<Batch> bs = SplitBatch(Batch::FromRows(rows, 1), 4);
+  std::vector<Batch> bs = SplitBatch(BatchFromRows(rows, 1), 4);
   ASSERT_EQ(bs.size(), 3u);
   EXPECT_EQ(bs[0].size(), 4u);
   EXPECT_EQ(bs[1].size(), 4u);
@@ -134,7 +135,7 @@ TEST(BatchTest, SplitBatchSplitsAtGranularity) {
   EXPECT_EQ(TotalBatchRows(bs), 10u);
   EXPECT_EQ(RowsFromBatches(bs), rows);
   // A selection is compacted first: only the active rows are split.
-  Batch sel = Batch::FromRows(rows, 1);
+  Batch sel = BatchFromRows(rows, 1);
   sel.SetSelection({9, 0, 5});
   bs = SplitBatch(std::move(sel), 2);
   ASSERT_EQ(bs.size(), 2u);
@@ -155,7 +156,7 @@ Value I(int64_t v) { return Value(v); }
 /// so every breaker sees duplicate keys and sort ties.
 std::vector<Batch> BreakerInputs() {
   std::vector<Batch> in;
-  in.push_back(Batch::FromRows({{I(3), I(1)}, {I(1), I(2)}, {I(3), I(1)},
+  in.push_back(BatchFromRows({{I(3), I(1)}, {I(1), I(2)}, {I(3), I(1)},
                                 {I(2), I(5)}, {I(1), I(7)}, {I(2), I(2)}},
                                2));
   in.back().SetSelection({5, 0, 2, 3, 1});
@@ -183,7 +184,7 @@ std::vector<Batch> BreakerInputs() {
     lazy.CloseGroup(run);
   }
   in.push_back(std::move(lazy));
-  in.push_back(Batch::FromRows({{I(7), I(7)}}, 2));
+  in.push_back(BatchFromRows({{I(7), I(7)}}, 2));
   in.back().SetSelection({});  // all filtered
   return in;
 }
@@ -597,11 +598,15 @@ TEST_F(BatchExecTest, DifferentialAllWorkloadsFourThreads) {
 
 TEST_F(BatchExecTest, DifferentialMorselSingleThread) {
   // The engine's default path is the morsel runtime at one worker. Hold
-  // it against an independent operator walker — the distributed executor
-  // on a one-partition store, which visits rows in the same source order,
-  // so ORDER / LIMIT tie-breaks agree too — on the very plans the engine
-  // runs.
+  // its rows against the planner-independent kNoOpt plans, and the same
+  // plans against their distributed decomposition (per-partition breakers,
+  // exchange sinks) over a one-partition store, which visits rows in the
+  // same source order, so ORDER / LIMIT tie-breaks agree too.
   auto seq = MakeEngine(1);
+  EngineOptions noopt_opts;
+  noopt_opts.mode = PlannerMode::kNoOpt;
+  GOptEngine noopt(ldbc_->graph.get(), BackendSpec::Neo4jLike(), noopt_opts);
+  noopt.SetGlogue(*glogue_);
   const auto one = PartitionedGraph::Build(ldbc_->graph.get(),
                                            PartitionPolicy::kHash, 1);
   for (const auto* set : {&QcQueries(), &QrQueries()}) {
@@ -610,9 +615,10 @@ TEST_F(BatchExecTest, DifferentialMorselSingleThread) {
       ASSERT_FALSE(prep.invalid) << wq.name;
       ParamMap bound = prep.params;
 
-      DistributedExecutor dist(ldbc_->graph.get(), *one);
+      const PipelinePlan dplan = BuildPipelinePlan(prep.physical, true);
+      MorselExecutor dist(ldbc_->graph.get(), MorselOptions{}, one.get());
       dist.set_params(&bound);
-      ResultTable want = dist.Execute(prep.physical);
+      ResultTable want = dist.Execute(prep.physical, &dplan);
 
       MorselOptions mopts;
       mopts.threads = 1;
@@ -625,6 +631,8 @@ TEST_F(BatchExecTest, DifferentialMorselSingleThread) {
           << " batch=" << got.NumRows();
       EXPECT_EQ(dist.stats().rows_produced, batch_ex.stats().rows_produced)
           << wq.name << ": rows_produced parity (dist vs batch)";
+      EXPECT_TRUE(noopt.Run(Q(wq.cypher)).SameRows(got))
+          << wq.name << ": optimized plan differs from kNoOpt";
     }
   }
 }
@@ -647,20 +655,19 @@ TEST_F(BatchExecTest, MorselRuntimeRunsExpandIntersectPlans) {
   // Plans lowered for the GraphScope-like backend may contain WCOJ
   // ExpandIntersect steps (the Neo4j-like backend never gets them: its
   // physical conversion only emits ExpandInto). The morsel runtime
-  // implements the full repertoire — compare it against the distributed
-  // executor on those very plans.
+  // implements the full repertoire — compare the engine's distributed run
+  // (four partitions, exchanges, pool threads) against the same plans run
+  // as single-machine pipelines on an unpartitioned graph.
   GOptEngine gs(ldbc_->graph.get(), BackendSpec::GraphScopeLike(4));
   gs.SetGlogue(*glogue_);
-  const auto store = gs.partitioned_store();
   WorkerPool pool(3);
   for (const auto& wq : QcQueries()) {
     auto prep = gs.Prepare(Q(wq.cypher));
     ASSERT_FALSE(prep.invalid) << wq.name;
+    ASSERT_TRUE(prep.exec_pipelines->distributed) << wq.name;
     ParamMap bound = prep.params;
 
-    DistributedExecutor dist(ldbc_->graph.get(), *store, &pool);
-    dist.set_params(&bound);
-    ResultTable want = dist.Execute(prep.physical);
+    ExecOutcome want = gs.Execute(prep);
 
     MorselOptions mopts;
     mopts.threads = 4;
@@ -671,7 +678,7 @@ TEST_F(BatchExecTest, MorselRuntimeRunsExpandIntersectPlans) {
     EXPECT_TRUE(want.SameRows(got))
         << wq.name << ": dist=" << want.NumRows()
         << " batch=" << got.NumRows();
-    EXPECT_EQ(dist.stats().rows_produced, batch_ex.stats().rows_produced)
+    EXPECT_EQ(want.stats.rows_produced, batch_ex.stats().rows_produced)
         << wq.name << ": rows_produced parity (dist vs batch)";
   }
 }

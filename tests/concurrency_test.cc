@@ -162,6 +162,27 @@ TEST(ConcurrencyTest, TwoEnginesShareOnePlanCache) {
   EXPECT_EQ(a.plan_cache().get(), cache.get());
 }
 
+TEST(ConcurrencyTest, EnginesOnDifferentBackendsNeverCrossServe) {
+  // Planning consults the executing backend (its PhysicalSpec decides, for
+  // one, whether ExpandIntersect may appear) and a distributed backend's
+  // pipeline plan carries its exchanges, so the same query on another
+  // backend must plan afresh — while engines on one backend still share.
+  auto g = PaperGraph();
+  auto cache = std::make_shared<SharedPreparedPlanCache>(64);
+  EngineOptions opts;
+  opts.plan_cache = cache;
+  GOptEngine gs(g.get(), BackendSpec::GraphScopeLike(2), opts);
+  GOptEngine neo(g.get(), BackendSpec::Neo4jLike(), opts);
+  GOptEngine gs_peer(g.get(), BackendSpec::GraphScopeLike(2), opts);
+  const std::string q = QueryShapes()[3];
+  EXPECT_FALSE(gs.Prepare(q).from_cache);
+  EXPECT_FALSE(neo.Prepare(q).from_cache);
+  EXPECT_EQ(cache->stats().entries, 2u);
+  EXPECT_TRUE(gs_peer.Prepare(q).from_cache);
+  EXPECT_TRUE(neo.Prepare(q).from_cache);
+  EXPECT_EQ(gs.Run(q).NumRows(), neo.Run(q).NumRows());
+}
+
 TEST(ConcurrencyTest, EnginesOverDifferentGraphsNeverCrossServe) {
   auto g1 = PaperGraph();
   auto g2 = PaperGraph();
@@ -247,8 +268,8 @@ TEST(ConcurrencyTest, ConcurrentExecuteIsReentrant) {
 }
 
 TEST(ConcurrencyTest, ConcurrentRunOnDistributedBackend) {
-  // The distributed executor spawns its own worker threads; engine-level
-  // concurrency must compose with that nested parallelism.
+  // Distributed plans run their per-partition stages on the engine's pool;
+  // engine-level concurrency must compose with that nested parallelism.
   auto g = PaperGraph();
   GOptEngine engine(g.get(), BackendSpec::GraphScopeLike(2));
   const std::string q = QueryShapes()[0];

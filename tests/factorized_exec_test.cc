@@ -6,7 +6,7 @@
 // identical ResultTables for every bundled workload across
 // factorization {off, on, auto} x exec_threads {1, 4} x partitions
 // {0, 4}, with rows_produced parity (logical bindings, not group
-// entries) held across both runtimes.
+// entries) held across single-machine and distributed pipeline plans.
 #include <gtest/gtest.h>
 
 #include "src/engine/engine.h"
@@ -16,6 +16,7 @@
 #include "src/ldbc/ldbc.h"
 #include "src/opt/factorization.h"
 #include "src/workloads/queries.h"
+#include "tests/batch_rows.h"
 
 namespace gopt {
 namespace {
@@ -185,7 +186,7 @@ TEST(FactorizedBatchTest, GatherPhysExpandsGroups) {
 // selection) must not rewrite columns.
 TEST(FactorizedBatchTest, FlattenIsNoOpWithoutSelection) {
   std::vector<Row> rows = ExpectedFlat();
-  Batch b = Batch::FromRows(rows, 2);
+  Batch b = BatchFromRows(rows, 2);
   const Value* before = b.col(0).data();
   b.Flatten();
   EXPECT_EQ(b.col(0).data(), before) << "no selection: columns untouched";
@@ -435,12 +436,51 @@ TEST_F(FactorizedExecTest, DifferentialAllWorkloadsModesThreadsPartitions) {
   }
 }
 
-// rows_produced parity for factorized operators across both runtimes
-// (distributed, flat morsel, factorized morsel), on the SAME physical plan (different backends plan differently, so the
-// comparison must hold the plan fixed): the factorized morsel runtime must
-// report logical bindings represented — one count per row an operator
-// stands for, never per group entry — matching the distributed executor
-// and the flat morsel runtime operator for operator.
+TEST_F(FactorizedExecTest, DistributedPlansFactorize) {
+  // Distribution is a property of the pipeline plan, so the distributed
+  // backend factorizes like the single-machine one: at kAuto some
+  // pipeline runs factorized, with the rows, rows_produced and exchanges
+  // of kOff.
+  auto make = [&](FactorizationMode mode) {
+    EngineOptions opts;
+    opts.factorization = mode;
+    auto e = std::make_unique<GOptEngine>(
+        ldbc_->graph.get(), BackendSpec::GraphScopeLike(4), opts);
+    e->SetGlogue(*glogue_);
+    return e;
+  };
+  auto off = make(FactorizationMode::kOff);
+  auto aut = make(FactorizationMode::kAuto);
+  std::vector<std::pair<std::string, std::string>> cases = {
+      {"2hop-count",
+       "MATCH (p:Person)-[:KNOWS]->(q:Person)-[:KNOWS]->(r:Person) "
+       "RETURN p.id AS id, COUNT(*) AS n"}};
+  for (const auto& wq : BiQueries()) cases.emplace_back(wq.name, wq.cypher);
+  size_t factorized = 0;
+  for (const auto& [name, cypher] : cases) {
+    const std::string q = Q(cypher);
+    ExecOutcome a = off->Run(q);
+    ExecOutcome b = aut->Run(q);
+    EXPECT_TRUE(a.SameRows(b)) << name;
+    EXPECT_EQ(a.stats.rows_produced, b.stats.rows_produced) << name;
+    EXPECT_EQ(a.stats.comm_rows, b.stats.comm_rows) << name;
+    EXPECT_EQ(a.stats.exchanges, b.stats.exchanges) << name;
+    for (const PipelineStat& p : b.stats.pipelines) factorized += p.factorized;
+    for (const PipelineStat& p : a.stats.pipelines) EXPECT_FALSE(p.factorized);
+  }
+  EXPECT_GT(factorized, 0u);
+  const auto prep = aut->Prepare(Q(cases[0].second));
+  EXPECT_NE(aut->Explain(prep).find("[factorized]"), std::string::npos)
+      << aut->Explain(prep);
+}
+
+// rows_produced parity for factorized operators across both pipeline
+// decompositions (distributed over a 4-partition store, single-machine
+// unpartitioned), flat and factorized, on the SAME physical plan
+// (different backends plan differently, so the comparison must hold the
+// plan fixed): the factorized runtime must report logical bindings
+// represented — one count per row an operator stands for, never per group
+// entry — matching the flat runs operator for operator.
 TEST_F(FactorizedExecTest, RowsProducedParityAcrossRuntimes) {
   GOptEngine gs(ldbc_->graph.get(), BackendSpec::GraphScopeLike(4));
   gs.SetGlogue(*glogue_);
@@ -450,9 +490,18 @@ TEST_F(FactorizedExecTest, RowsProducedParityAcrossRuntimes) {
     ASSERT_FALSE(prep.invalid) << wq.name;
     ParamMap bound = prep.params;
 
-    DistributedExecutor dist(ldbc_->graph.get(), *store);
-    dist.set_params(&bound);
-    ResultTable want = dist.Execute(prep.physical);
+    PipelinePlan dist = BuildPipelinePlan(prep.physical, true);
+    ChooseFactorization(&dist, FactorizationMode::kOff);
+    MorselExecutor dist_ex(ldbc_->graph.get(), MorselOptions{}, store.get());
+    dist_ex.set_params(&bound);
+    ResultTable want = dist_ex.Execute(prep.physical, &dist);
+
+    PipelinePlan dist_fact = BuildPipelinePlan(prep.physical, true);
+    ChooseFactorization(&dist_fact, FactorizationMode::kOn);
+    MorselExecutor dist_fact_ex(ldbc_->graph.get(), MorselOptions{},
+                                store.get());
+    dist_fact_ex.set_params(&bound);
+    ResultTable dist_fact_got = dist_fact_ex.Execute(prep.physical, &dist_fact);
 
     PipelinePlan flat = BuildPipelinePlan(prep.physical);
     ChooseFactorization(&flat, FactorizationMode::kOff);
@@ -468,10 +517,16 @@ TEST_F(FactorizedExecTest, RowsProducedParityAcrossRuntimes) {
 
     EXPECT_TRUE(want.SameRows(flat_got)) << wq.name;
     EXPECT_TRUE(want.SameRows(fact_got)) << wq.name;
-    EXPECT_EQ(dist.stats().rows_produced, flat_ex.stats().rows_produced)
+    EXPECT_TRUE(want.SameRows(dist_fact_got)) << wq.name;
+    EXPECT_EQ(dist_ex.stats().rows_produced, flat_ex.stats().rows_produced)
         << wq.name << ": rows_produced parity (dist vs flat morsel)";
-    EXPECT_EQ(dist.stats().rows_produced, fact_ex.stats().rows_produced)
+    EXPECT_EQ(dist_ex.stats().rows_produced, fact_ex.stats().rows_produced)
         << wq.name << ": rows_produced parity (dist vs factorized morsel)";
+    EXPECT_EQ(dist_ex.stats().rows_produced,
+              dist_fact_ex.stats().rows_produced)
+        << wq.name << ": rows_produced parity (dist vs factorized dist)";
+    EXPECT_EQ(dist_ex.stats().comm_rows, dist_fact_ex.stats().comm_rows)
+        << wq.name << ": factorization moves the same rows";
   }
 }
 

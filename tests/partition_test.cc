@@ -19,6 +19,7 @@
 #include "src/store/partitioned_graph.h"
 #include "src/store/partitioner.h"
 #include "src/workloads/queries.h"
+#include "tests/batch_rows.h"
 
 namespace gopt {
 namespace {
@@ -407,6 +408,52 @@ TEST_F(PartitionTest, LazyPlacementShipsOnlyReExpandedRows) {
       << "a 2-hop chain re-distributes each first-hop binding at most once";
 }
 
+TEST_F(PartitionTest, ExchangesArePlacedInThePipelinePlan) {
+  // The lazy-placement rule runs at plan time: a 2-hop chain's pipeline
+  // plan ends the first hop's pipeline with one exchange to the owners of
+  // the middle vertex, and nothing after the last hop re-partitions. The
+  // exchange is frozen into the (cacheable) Prepared and printed by
+  // Explain.
+  auto dist = MakeDistEngine(/*partitions=*/4);
+  auto prep = dist->Prepare(
+      "MATCH (p:Person)-[:KNOWS]->(q:Person)-[:KNOWS]->(r:Person) "
+      "WHERE p.id < 40 RETURN p, q, r");
+  const PipelinePlan& plan = *prep.exec_pipelines;
+  ASSERT_TRUE(plan.distributed);
+  auto expansions = [](const Pipeline& p) {
+    int n = 0;
+    for (const PhysOp* op : p.ops) n += op->kind == PhysOpKind::kExpandEdge;
+    return n;
+  };
+  int exchanges = 0;
+  for (const Pipeline& p : plan.pipelines) {
+    if (p.exchange.kind == ExchangeSpec::Kind::kNone) continue;
+    ++exchanges;
+    EXPECT_EQ(p.exchange.kind, ExchangeSpec::Kind::kOwner);
+    EXPECT_EQ(p.sink->out_cols[p.exchange.cols[0]], "q");
+    EXPECT_EQ(expansions(p), 1) << "the exchange follows the first hop";
+  }
+  EXPECT_EQ(exchanges, 1) << plan.ToString();
+  const Pipeline& last = plan.pipelines.back();
+  EXPECT_EQ(last.exchange.kind, ExchangeSpec::Kind::kNone);
+  EXPECT_EQ(expansions(last), 1) << "the second hop runs after the exchange";
+
+  const std::string explain = dist->Explain(prep);
+  const size_t at = explain.find("=== Pipelines (morsel runtime) ===");
+  ASSERT_NE(at, std::string::npos);
+  const std::string pipelines = explain.substr(at);
+  EXPECT_NE(pipelines.find("exchange(owner q)"), std::string::npos)
+      << pipelines;
+  EXPECT_EQ(pipelines.find("exchange("), pipelines.rfind("exchange("))
+      << pipelines;
+
+  const ExecOutcome out = dist->Execute(prep);
+  EXPECT_EQ(out.stats.exchanges, 1u);
+  EXPECT_TRUE(out.SameRows(MakeEngine(0, 1)->Run(
+      "MATCH (p:Person)-[:KNOWS]->(q:Person)-[:KNOWS]->(r:Person) "
+      "WHERE p.id < 40 RETURN p, q, r")));
+}
+
 TEST_F(PartitionTest, EdgeCutPolicyReducesCommRowsVersusHash) {
   // Exchanged rows on the sharded store are exactly the bindings whose
   // next expansion crosses an ownership boundary, so a smaller edge-cut
@@ -449,7 +496,7 @@ TEST_F(PartitionTest, MergeSortedLimitMatchesFullSort) {
   // Each list must be locally sorted by the op's keys first.
   std::vector<Batch> parts;
   for (const auto& l : lists) {
-    parts.push_back(k.SortLimit(*op, {Batch::FromRows(l, 2)}));
+    parts.push_back(k.SortLimit(*op, {BatchFromRows(l, 2)}));
   }
   // The merge must equal a stable re-sort of the worker-order
   // concatenation — including tie-breaks and the limit cutoff.
@@ -466,8 +513,8 @@ TEST_F(PartitionTest, MergeSortedLimitMatchesFullSort) {
   by_x->children = {child};
   by_x->out_cols = child->out_cols;
   by_x->sort_items = {{Expr::MakeVar("x"), /*asc=*/true}};
-  std::vector<Batch> tied = {Batch::FromRows({row(1, 20), row(2, 21)}, 2),
-                             Batch::FromRows({row(1, 10), row(2, 11)}, 2)};
+  std::vector<Batch> tied = {BatchFromRows({row(1, 20), row(2, 21)}, 2),
+                             BatchFromRows({row(1, 10), row(2, 11)}, 2)};
   EXPECT_EQ(k.MergeSortedLimit(*by_x, tied).ToRows(),
             (std::vector<Row>{row(1, 20), row(1, 10), row(2, 21), row(2, 11)}));
 }

@@ -130,12 +130,25 @@ class EnginePoolTest : public ::testing::Test {
     return SubstituteParams(text, DefaultParams());
   }
 
-  /// Two hops over KNOWS: both expansions run over more than
-  /// DistributedExecutor::kInlineStageRows rows, so they are dispatched to
-  /// the pool.
+  /// Two hops over KNOWS, with an exchange between them on the
+  /// distributed backend; its result holds more than
+  /// MorselExecutor::kInlineStageRows rows.
   static constexpr const char* kTwoHop =
       "MATCH (a:Person)-[:KNOWS]->(b:Person)-[:KNOWS]->(c:Person) "
       "RETURN a, c";
+
+  /// Every message, projected: a pipeline whose scan source holds more
+  /// than MorselExecutor::kInlineStageRows rows, so it runs on the pool.
+  static constexpr const char* kMessages =
+      "MATCH (m:Post|Comment) RETURN m.browserUsed AS x";
+
+  /// Some pipeline of the run had more than one worker slot.
+  static bool RanOnPool(const ExecOutcome& out) {
+    for (const PipelineStat& p : out.stats.pipelines) {
+      if (p.threads > 1) return true;
+    }
+    return false;
+  }
 
   static LdbcGraph* ldbc_;
   static std::shared_ptr<const Glogue>* glogue_;
@@ -161,12 +174,15 @@ Prepared FailingJoinPlan(const GOptEngine& engine) {
   Prepared prep = engine.Prepare("MATCH (a:Person) RETURN a");
   prep.physical = join;
   prep.output_columns = join->out_cols;
+  // The replaced plan's pipeline decomposition no longer applies: Execute
+  // decomposes the new root itself.
+  prep.exec_pipelines.reset();
   return prep;
 }
 
 TEST_F(EnginePoolTest, KernelThrowInPartitionTaskReachesExecuteCaller) {
   ASSERT_GE(ldbc_->graph->NumVertices(),
-            DistributedExecutor::kInlineStageRows);
+            MorselExecutor::kInlineStageRows);
   for (int P : {2, 4}) {
     auto engine = MakeDistEngine(P);
     const ExecOutcome before = engine->Run(kTwoHop);
@@ -188,14 +204,13 @@ TEST_F(EnginePoolTest, KernelThrowInPartitionTaskReachesExecuteCaller) {
 
 TEST_F(EnginePoolTest, KernelThrowReachesServingFuture) {
   auto engine = MakeDistEngine(2);
-  // Arithmetic on a string property throws in the projection stage, which
-  // runs over every HAS_CREATOR edge.
-  const std::string bad =
-      "MATCH (m)-[:HAS_CREATOR]->(p:Person) RETURN p.firstName * 2 AS x";
-  const std::string good =
-      "MATCH (m)-[:HAS_CREATOR]->(p:Person) RETURN p.firstName AS x";
+  // Arithmetic on a string property throws in the projection, which runs
+  // in the pool-dispatched pipeline over every message.
+  const std::string bad = "MATCH (m:Post|Comment) RETURN m.browserUsed * 2 AS x";
+  const std::string good = kMessages;
   const ExecOutcome expected = engine->Run(good);
-  ASSERT_GE(expected.NumRows(), DistributedExecutor::kInlineStageRows);
+  ASSERT_GE(expected.NumRows(), MorselExecutor::kInlineStageRows);
+  ASSERT_TRUE(RanOnPool(expected));
   ServingOptions sopts;
   sopts.worker_threads = 2;
   ServingEngine serve(engine.get(), sopts);
@@ -266,10 +281,14 @@ TEST_F(EnginePoolTest, QueriesStartNoThreads) {
   const Prepared p2 = dist2->Prepare(kTwoHop);
   const Prepared p4 = dist4->Prepare(kTwoHop);
   const Prepared pm = morsel->Prepare(kTwoHop);
+  const Prepared s2 = dist2->Prepare(kMessages);
+  const Prepared s4 = dist4->Prepare(kMessages);
   // Warm every path once (lazy statics, allocator arenas).
-  ASSERT_GE(dist2->Execute(p2).NumRows(), DistributedExecutor::kInlineStageRows);
+  ASSERT_GE(dist2->Execute(p2).NumRows(), MorselExecutor::kInlineStageRows);
   dist4->Execute(p4);
   morsel->Execute(pm);
+  ASSERT_TRUE(RanOnPool(dist2->Execute(s2)));
+  ASSERT_TRUE(RanOnPool(dist4->Execute(s4)));
 
   // A sampler watches the count while the queries run, so a thread that is
   // started and joined within one query is caught too, not only a leak.
@@ -289,6 +308,8 @@ TEST_F(EnginePoolTest, QueriesStartNoThreads) {
   for (int i = 0; i < 200; ++i) {
     dist2->Execute(p2);
     dist4->Execute(p4);
+    dist2->Execute(s2);
+    dist4->Execute(s4);
   }
   EXPECT_EQ(CountThreads(), base);
   for (int i = 0; i < 200; ++i) morsel->Execute(pm);

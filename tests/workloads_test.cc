@@ -145,11 +145,11 @@ TEST_F(WorkloadTest, IcBiQueriesMatchNoOptOnBothBackends) {
 }
 
 TEST_F(WorkloadTest, DistributedBiStatsArePinned) {
-  // The GraphScope-like runtime's per-template statistics over a
-  // 2-partition store, pinned so that a change to the distributed runtime
-  // (or a merge of the two runtimes) that alters its work or its
-  // exchanges shows up here: result rows, rows_produced, comm_rows,
-  // exchanges and per-partition rows.
+  // The GraphScope-like backend's per-template statistics over a
+  // 2-partition store, pinned so that a change to its distributed
+  // pipeline plans that alters their work or their exchanges shows up
+  // here: result rows, rows_produced, comm_rows, exchanges and
+  // per-partition rows.
   struct Expected {
     const char* name;
     size_t rows;
