@@ -106,20 +106,19 @@ void BM_ExecMorsel(benchmark::State& state) {
       "WHERE r.id <> p.id RETURN COUNT(r) AS c",
       DefaultParams()));
   ParamMap bound = prep.params;
-  MorselOptions mopts;
-  mopts.threads = static_cast<int>(state.range(0));
-  // The worker threads beyond the caller, started once like an engine's.
-  WorkerPool pool(mopts.threads - 1);
+  // The worker threads beyond the caller, started once like an engine's;
+  // the executor gets one worker slot per pool thread plus the caller.
+  WorkerPool pool(static_cast<int>(state.range(0)) - 1);
   // Pass the pipeline plan cached in the Prepared so the loop measures
   // only the runtime, not the (Prepare-time) decomposition.
   const PipelinePlan* pplan = prep.exec_pipelines.get();
   for (auto _ : state) {
-    MorselExecutor ex(&g, mopts, nullptr, &pool);
+    MorselExecutor ex(&g, MorselOptions{}, nullptr, &pool);
     ex.set_params(&bound);
     auto r = ex.Execute(prep.physical, pplan);
     benchmark::DoNotOptimize(r.NumRows());
   }
-  MorselExecutor ex(&g, mopts, nullptr, &pool);
+  MorselExecutor ex(&g, MorselOptions{}, nullptr, &pool);
   ex.set_params(&bound);
   state.counters["rows"] =
       static_cast<double>(ex.Execute(prep.physical, pplan).NumRows());
@@ -211,17 +210,15 @@ void BM_ExecPartitioned(benchmark::State& state) {
       "WHERE r.id <> p.id RETURN COUNT(r) AS c",
       DefaultParams()));
   ParamMap bound = prep.params;
-  MorselOptions mopts;
-  mopts.threads = static_cast<int>(state.range(1));
-  WorkerPool pool(mopts.threads - 1);
+  WorkerPool pool(static_cast<int>(state.range(1)) - 1);
   const PipelinePlan* pplan = prep.exec_pipelines.get();
   for (auto _ : state) {
-    MorselExecutor ex(&g, mopts, store.get(), &pool);
+    MorselExecutor ex(&g, MorselOptions{}, store.get(), &pool);
     ex.set_params(&bound);
     auto r = ex.Execute(prep.physical, pplan);
     benchmark::DoNotOptimize(r.NumRows());
   }
-  MorselExecutor ex(&g, mopts, store.get(), &pool);
+  MorselExecutor ex(&g, MorselOptions{}, store.get(), &pool);
   ex.set_params(&bound);
   state.counters["rows"] =
       static_cast<double>(ex.Execute(prep.physical, pplan).NumRows());

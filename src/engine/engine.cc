@@ -272,6 +272,7 @@ Prepared GOptEngine::PlanQuery(const std::string& query, Language lang,
   ctx.gq_low = stats.gq_low.get();
   ctx.comm = store ? &store->comm : nullptr;
   ctx.cancel = cancel;
+  ctx.pool = pool_.get();
 
   pipeline.Run(ctx);
 
@@ -389,7 +390,6 @@ ResultTable GOptEngine::RunPhysical(const PhysOpPtr& root,
     pipelines = &local;
   }
   MorselOptions mopts;
-  mopts.threads = pool_->threads() + 1;
   mopts.vectorize = opts_.vectorize;
   MorselExecutor ex(g_, mopts, store ? store->store.get() : nullptr,
                     pool_.get());

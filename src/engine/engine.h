@@ -355,11 +355,11 @@ class GOptEngine {
   mutable std::mutex obs_mu_;
   mutable std::vector<uint64_t> observed_rows_;
 
-  /// The persistent worker threads the runtime runs on
-  /// (docs/concurrency.md): max(store partitions, resolved exec_threads)
-  /// - 1 of them, started here once, so Execute never starts a thread; each
-  /// Execute's calling thread works alongside them, so every pipeline gets
-  /// threads() + 1 worker slots. Zero threads (every stage inline) for a
+  /// The persistent worker threads the runtime and the CBO's per-pattern
+  /// planning run on (docs/concurrency.md): max(store partitions, resolved
+  /// exec_threads) - 1 of them, started here once, so neither Prepare nor
+  /// Execute starts a thread; each call's own thread works alongside them,
+  /// so every pipeline gets threads() + 1 worker slots. Zero threads (every stage inline) for a
   /// single-machine backend at the default options.
   std::unique_ptr<WorkerPool> pool_;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
-#include <thread>
 
 #include "src/common/hash.h"
 #include "src/opt/factorization.h"
@@ -84,9 +83,7 @@ MorselExecutor::MorselExecutor(const PropertyGraph* g, MorselOptions opts,
       pg_(pg),
       pool_(pool),
       opts_(opts),
-      threads_(opts.threads > 0
-                   ? opts.threads
-                   : std::max(1u, std::thread::hardware_concurrency())),
+      threads_(pool != nullptr ? pool->threads() + 1 : 1),
       parts_(pg != nullptr ? static_cast<size_t>(pg->num_partitions()) : 1) {
   k_.set_vectorize(opts.vectorize);
 }

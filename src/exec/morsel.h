@@ -14,10 +14,6 @@ namespace gopt {
 
 /// Knobs of the morsel-driven runtime.
 struct MorselOptions {
-  /// Worker slots per pipeline, run on the executor's WorkerPool. 1 runs
-  /// every morsel inline on the calling thread (sequential batch
-  /// execution); <= 0 means hardware concurrency.
-  int threads = 1;
   /// Vertices per scan morsel (slices of the scan domain).
   size_t morsel_rows = 2048;
   /// Rows per batch when a breaker's materialized output is re-chunked
@@ -78,12 +74,12 @@ class MorselQueue {
 /// plan breakers run once over every partition's rows and put their output
 /// on partition 0.
 ///
-/// With threads == 1 the runtime is fully sequential and deterministic;
-/// with N threads, results are identical (morsel outputs are reassembled
-/// in morsel order, partition-major, before any order-sensitive sink runs)
-/// and per-worker ExecStats are merged after every pipeline. The engine
-/// runs every Execute here with one worker slot per engine pool thread
-/// plus the caller; differential tests (tests/batch_exec_test.cc,
+/// Every pipeline gets one worker slot per pool thread plus the caller.
+/// Without a pool (or with a pool of zero threads) the runtime is fully
+/// sequential and deterministic; with N slots, results are identical
+/// (morsel outputs are reassembled in morsel order, partition-major,
+/// before any order-sensitive sink runs) and per-worker ExecStats are
+/// merged after every pipeline. Differential tests (tests/batch_exec_test.cc,
 /// tests/factorized_exec_test.cc) hold it equal across thread counts,
 /// partition counts and factorization modes, and to the unoptimized plans.
 ///
@@ -133,8 +129,6 @@ class MorselExecutor {
   /// exception capture and is rethrown out of Execute once every worker
   /// slot has finished.
   void set_cancel(CancelToken cancel) { cancel_ = std::move(cancel); }
-
-  int threads() const { return threads_; }
 
  private:
   /// Per-worker counters of one pipeline chain, merged into ExecStats
@@ -193,6 +187,7 @@ class MorselExecutor {
   const PartitionedGraph* pg_;
   WorkerPool* pool_;
   MorselOptions opts_;
+  /// Worker slots per pipeline: the pool's threads plus the caller.
   int threads_;
   /// Partitions of every materialized result: the store's, 1 without one.
   size_t parts_;

@@ -71,6 +71,8 @@ void ChooseFactorization(PipelinePlan* plan, FactorizationMode mode) {
         if (a.arg) a.arg->CollectTags(&live);
       }
     }
+    // What the aggregating sink itself reads (empty for any other sink).
+    const std::set<std::string> sink_reads = live;
 
     std::vector<uint8_t> lazy(p.ops.size(), 0);
     bool any_lazy = false;
@@ -147,11 +149,19 @@ void ChooseFactorization(PipelinePlan* plan, FactorizationMode mode) {
         prev = op->est_rows > 0 ? op->est_rows : -1;
       }
       // Groups pay off only where something consumes them: a later
-      // operator of the pipeline or an aggregating sink. A lone expansion
-      // that ends the chain into any other sink is flattened right away.
-      const bool consumed =
-          n_expansions >= 2 || !IsExpansion(p.ops.back()->kind) ||
-          (p.sink_is_breaker() && p.sink->kind == PhysOpKind::kAggregate);
+      // operator of the pipeline, or an aggregating sink that reads none of
+      // the columns the chain's last expansion produces (one that does,
+      // e.g. COUNT(m) after Expand(m), gathers every group back into rows).
+      // A lone expansion that ends the chain into any other sink is
+      // flattened right away.
+      bool consumed = n_expansions >= 2 || !IsExpansion(p.ops.back()->kind);
+      if (!consumed && p.sink_is_breaker() &&
+          p.sink->kind == PhysOpKind::kAggregate) {
+        consumed = true;
+        for (const auto& c : ProducedCols(*p.ops.back())) {
+          consumed = consumed && sink_reads.count(c) == 0;
+        }
+      }
       choose = any_lazy || (consumed && max_fanout >= 1.2) ||
                (!saw_ratio && n_expansions >= 2);
     }

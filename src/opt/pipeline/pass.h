@@ -16,6 +16,7 @@ namespace gopt {
 class PropertyGraph;
 class Glogue;
 class GlogueQuery;
+class WorkerPool;
 
 /// One PassManager::Run step as recorded in the PlanTrace: which pass, how
 /// long it took, whether it was skipped (condition false or plan already
@@ -27,10 +28,10 @@ struct PassTraceEntry {
   std::string note;
 };
 
-/// One pattern's share of the CBO pass: multi-pattern queries fan
-/// per-pattern planning out over a thread pool, and each pattern records
-/// its own wall-clock planning time here (`ms` overlaps with the other
-/// patterns' when cbo_threads > 1).
+/// One pattern's share of the CBO pass: multi-pattern queries plan their
+/// patterns on the engine's worker pool, and each pattern records its own
+/// wall-clock planning time here (`ms` may overlap with the other
+/// patterns' when they planned on different threads).
 struct CboPatternTiming {
   int index = 0;        ///< position in the GIR's leaf-first pattern order
   size_t vertices = 0;  ///< pattern size
@@ -48,8 +49,6 @@ struct PlanTrace {
 
   /// Per-pattern CBO records (empty when the cbo pass never ran).
   std::vector<CboPatternTiming> cbo_patterns;
-  /// Thread-pool width the cbo pass planned cbo_patterns with.
-  int cbo_threads = 1;
 
   const PassTraceEntry* Find(const std::string& pass_name) const;
   std::string ToString() const;
@@ -80,6 +79,10 @@ struct PlanContext {
   /// tasks check it before planning each pattern, so a timed-out query
   /// does not plan all remaining patterns. Default token: never cancelled.
   CancelToken cancel;
+  /// The engine's worker pool, which the CBO pass plans multi-pattern
+  /// queries' patterns on (the calling thread taking part). Null: plan
+  /// every pattern inline.
+  WorkerPool* pool = nullptr;
 
   // ---- evolving plan state ----
   LogicalOpPtr logical;

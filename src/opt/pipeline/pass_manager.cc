@@ -26,9 +26,7 @@ std::string PlanTrace::ToString() const {
     s += "\n";
   }
   if (!cbo_patterns.empty()) {
-    s += StrFormat("  cbo per-pattern (%zu patterns over %d thread%s):\n",
-                   cbo_patterns.size(), cbo_threads,
-                   cbo_threads == 1 ? "" : "s");
+    s += StrFormat("  cbo per-pattern (%zu patterns):\n", cbo_patterns.size());
     for (const auto& p : cbo_patterns) {
       s += StrFormat("    pattern#%d (%zuv/%zue) %9.3f ms\n", p.index,
                      p.vertices, p.edges, p.ms);

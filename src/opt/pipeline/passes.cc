@@ -1,15 +1,12 @@
 #include "src/opt/pipeline/passes.h"
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <exception>
 #include <functional>
 #include <set>
-#include <thread>
 
 #include "src/common/rng.h"
 #include "src/common/str_format.h"
+#include "src/common/worker_pool.h"
 #include "src/graph/property_graph.h"
 #include "src/lang/cypher_parser.h"
 #include "src/lang/gremlin_parser.h"
@@ -125,87 +122,47 @@ void CboPass::Run(PlanContext& ctx) {
 
   // Per-pattern searches are independent (each task owns its optimizer and
   // Rng; GlogueQuery memoization is internally synchronized), so
-  // multi-pattern queries fan out over a small pool. Results land in
-  // per-index slots — no cross-task mutation.
+  // multi-pattern queries plan on the engine's worker pool, the calling
+  // thread included. Results land in per-index slots — no cross-task
+  // mutation.
   std::vector<PatternPlanPtr> plans(n);
   std::vector<double> pattern_ms(n, 0.0);
   std::vector<size_t> searched(n, 0), pruned(n, 0);
-  std::vector<std::exception_ptr> errors(n);
   auto plan_one = [&](size_t i) {
     auto t0 = std::chrono::steady_clock::now();
-    try {
-      // Per-pattern cancellation check (satellite of docs/serving.md): a
-      // query whose budget tripped while earlier patterns planned skips
-      // every remaining pattern instead of planning them all. The throw
-      // lands in errors[i] and is rethrown after the pool joins.
-      ctx.cancel.Check();
-      GraphOptimizer optimizer(gq, backend, ctx.comm);
-      const Pattern& p = matches[i]->pattern;
-      switch (cfg_.strategy) {
-        case Strategy::kRandom: {
-          Rng rng(static_cast<uint64_t>(cfg_.random_seed));
-          plans[i] = optimizer.RandomPlan(p, &rng);
-          break;
-        }
-        case Strategy::kGreedy:
-          plans[i] = optimizer.GreedyPlan(p);
-          break;
-        case Strategy::kExhaustive:
-          plans[i] = optimizer.Optimize(p);
-          break;
-        case Strategy::kUserOrder:
-          plans[i] = optimizer.UserOrderPlan(p);
-          break;
+    // Per-pattern cancellation check (satellite of docs/serving.md): a
+    // query whose budget tripped while earlier patterns planned skips
+    // every remaining pattern instead of planning them all. ParallelFor
+    // rethrows the first error once every started pattern has finished.
+    ctx.cancel.Check();
+    GraphOptimizer optimizer(gq, backend, ctx.comm);
+    const Pattern& p = matches[i]->pattern;
+    switch (cfg_.strategy) {
+      case Strategy::kRandom: {
+        Rng rng(static_cast<uint64_t>(cfg_.random_seed));
+        plans[i] = optimizer.RandomPlan(p, &rng);
+        break;
       }
-      searched[i] = optimizer.searched_subpatterns;
-      pruned[i] = optimizer.pruned_branches;
-    } catch (...) {
-      errors[i] = std::current_exception();
+      case Strategy::kGreedy:
+        plans[i] = optimizer.GreedyPlan(p);
+        break;
+      case Strategy::kExhaustive:
+        plans[i] = optimizer.Optimize(p);
+        break;
+      case Strategy::kUserOrder:
+        plans[i] = optimizer.UserOrderPlan(p);
+        break;
     }
+    searched[i] = optimizer.searched_subpatterns;
+    pruned[i] = optimizer.pruned_branches;
     auto t1 = std::chrono::steady_clock::now();
     pattern_ms[i] =
         std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count() /
         1e6;
   };
-
-  size_t pool;
-  if (cfg_.pattern_threads > 0) {
-    pool = static_cast<size_t>(cfg_.pattern_threads);
-  } else {
-    pool = std::min<size_t>(
-        std::max<size_t>(std::thread::hardware_concurrency(), 1), 4);
-    // Thread spawn costs tens of microseconds; tiny patterns plan in
-    // single-digit microseconds. In auto mode only fan out when at least
-    // two patterns carry enough search space to amortize the spawn.
-    constexpr size_t kParallelMinEdges = 3;
-    size_t heavy = 0;
-    for (const auto& m : matches) {
-      if (m->pattern.NumEdges() >= kParallelMinEdges) ++heavy;
-    }
-    if (heavy < 2) pool = 1;
-  }
-  pool = std::min(pool, n);
-  if (pool <= 1) {
-    for (size_t i = 0; i < n; ++i) plan_one(i);
-  } else {
-    std::atomic<size_t> next{0};
-    std::vector<std::thread> workers;
-    workers.reserve(pool);
-    for (size_t w = 0; w < pool; ++w) {
-      workers.emplace_back([&] {
-        for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
-          plan_one(i);
-        }
-      });
-    }
-    for (auto& t : workers) t.join();
-  }
-  for (auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
+  ParallelFor(ctx.pool, n, plan_one);
 
   size_t total_searched = 0, total_pruned = 0;
-  ctx.trace.cbo_threads = static_cast<int>(std::max<size_t>(pool, 1));
   for (size_t i = 0; i < n; ++i) {
     ctx.pattern_plans[matches[i].get()] = plans[i];
     total_searched += searched[i];
@@ -221,10 +178,9 @@ void CboPass::Run(PlanContext& ctx) {
                       : cfg_.strategy == Strategy::kGreedy   ? "greedy"
                       : cfg_.strategy == Strategy::kRandom   ? "random"
                                                              : "user-order";
-  ctx.pass_note = StrFormat(
-      "%s over %zu patterns (%zu thread%s), %zu subpatterns searched, "
-      "%zu pruned",
-      strat, n, pool, pool == 1 ? "" : "s", total_searched, total_pruned);
+  ctx.pass_note =
+      StrFormat("%s over %zu patterns, %zu subpatterns searched, %zu pruned",
+                strat, n, total_searched, total_pruned);
 }
 
 void PhysicalConversionPass::Run(PlanContext& ctx) {

@@ -55,8 +55,8 @@ class TypeInferencePass : public PlannerPass {
 
 /// Pattern planning (paper Algorithm 2 or one of its baselines): assigns a
 /// PatternPlan to every MATCH_PATTERN node in the GIR. Multi-pattern
-/// queries fan the per-pattern searches — which are independent of each
-/// other — out over a small thread pool, recording per-pattern timings in
+/// queries run the per-pattern searches — which are independent of each
+/// other — on PlanContext::pool, recording per-pattern timings in
 /// PlanTrace::cbo_patterns.
 class CboPass : public PlannerPass {
  public:
@@ -74,9 +74,6 @@ class CboPass : public PlannerPass {
     /// Cost model override; the execution backend's spec when unset.
     std::optional<BackendSpec> planning_backend;
     int64_t random_seed = 0;  ///< used by Strategy::kRandom
-    /// Per-pattern planning pool width: 0 = auto (min(#patterns, hardware
-    /// concurrency, 4)), 1 = sequential. Plans are identical either way.
-    int pattern_threads = 0;
   };
   explicit CboPass(Config cfg) : cfg_(std::move(cfg)) {}
   std::string Name() const override { return "cbo"; }

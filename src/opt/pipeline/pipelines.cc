@@ -38,7 +38,6 @@ CboPass::Config MakeCboConfig(const EngineOptions& opts, bool cbo_enabled,
   }
   cfg.high_order_stats = opts.high_order_stats;
   cfg.planning_backend = opts.planning_backend;
-  cfg.pattern_threads = opts.cbo_pattern_threads;
   return cfg;
 }
 

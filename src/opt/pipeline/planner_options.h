@@ -84,24 +84,17 @@ struct EngineOptions {
   /// baseline of Fig. 8(e)).
   std::vector<std::string> rbo_rule_filter;
 
-  /// Width of the thread pool the CBO pass fans per-pattern planning of
-  /// multi-pattern queries out over. 0 = auto (min(#patterns, hardware
-  /// concurrency, 4)); 1 plans sequentially. Never changes the produced
-  /// plans (per-pattern search is independent and deterministic), so it is
-  /// excluded from OptionsFingerprint like the cache knobs.
-  int cbo_pattern_threads = 0;
-
-  /// Worker threads of the morsel-driven batch runtime (the execution-side
-  /// counterpart of cbo_pattern_threads), which runs every single-machine
-  /// execution (the distributed backend runs one worker per partition):
-  ///  - 1 (default): one morsel worker — every morsel runs inline on the
-  ///    calling thread;
-  ///  - >= 2: that many morsel workers;
+  /// Threads a query may use: the engine's worker pool is sized from it
+  /// (and the store's partition count) once at construction, and both the
+  /// morsel runtime and the CBO's per-pattern planning run on that pool:
+  ///  - 1 (default): one worker — every morsel and pattern runs inline on
+  ///    the calling thread;
+  ///  - >= 2: that many workers (the caller plus exec_threads - 1 pool
+  ///    threads);
   ///  - 0 / negative: sized to hardware concurrency.
-  /// The engine's worker pool is sized from it (and the store's partition
-  /// count) once at construction. Never changes query results
-  /// (differential-tested per release), so it is excluded from
-  /// OptionsFingerprint like the other non-plan-affecting knobs.
+  /// Never changes plans or query results (differential-tested per
+  /// release), so it is excluded from OptionsFingerprint like the other
+  /// non-plan-affecting knobs.
   int exec_threads = 1;
 
   /// Sharded graph storage (src/store/, docs/storage.md): number of
@@ -195,8 +188,8 @@ struct EngineOptions {
 std::string NormalizeQueryText(const std::string& query);
 
 /// Fingerprint of every plan-affecting EngineOptions field (cache knobs and
-/// cbo_pattern_threads are deliberately excluded — they never change the
-/// produced plan). Two option sets with equal fingerprints plan any query
+/// exec_threads are deliberately excluded — they never change the produced
+/// plan). Two option sets with equal fingerprints plan any query
 /// identically.
 uint64_t OptionsFingerprint(const EngineOptions& opts);
 

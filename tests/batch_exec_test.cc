@@ -558,12 +558,12 @@ TEST_F(BatchExecTest, UnionCopiesOnlySharedChildren) {
   for (int copy = 0; copy < 2; ++copy) {
     want.rows.insert(want.rows.end(), once.begin(), once.end());
   }
-  for (int threads : {1, 4}) {
-    MorselOptions mopts;
-    mopts.threads = threads;
-    MorselExecutor ex(ldbc_->graph.get(), mopts);
+  // One worker slot, then four (a pool of three plus the caller).
+  for (int pool_threads : {0, 3}) {
+    WorkerPool pool(pool_threads);
+    MorselExecutor ex(ldbc_->graph.get(), MorselOptions{}, nullptr, &pool);
     ex.set_params(&prep.params);
-    EXPECT_TRUE(ex.Execute(root, &plan).SameRows(want)) << threads;
+    EXPECT_TRUE(ex.Execute(root, &plan).SameRows(want)) << pool_threads;
   }
 }
 
@@ -620,9 +620,7 @@ TEST_F(BatchExecTest, DifferentialMorselSingleThread) {
       dist.set_params(&bound);
       ResultTable want = dist.Execute(prep.physical, &dplan);
 
-      MorselOptions mopts;
-      mopts.threads = 1;
-      MorselExecutor batch_ex(ldbc_->graph.get(), mopts);
+      MorselExecutor batch_ex(ldbc_->graph.get());
       batch_ex.set_params(&bound);
       ResultTable got = batch_ex.Execute(prep.physical);
 
@@ -669,9 +667,8 @@ TEST_F(BatchExecTest, MorselRuntimeRunsExpandIntersectPlans) {
 
     ExecOutcome want = gs.Execute(prep);
 
-    MorselOptions mopts;
-    mopts.threads = 4;
-    MorselExecutor batch_ex(ldbc_->graph.get(), mopts, nullptr, &pool);
+    MorselExecutor batch_ex(ldbc_->graph.get(), MorselOptions{}, nullptr,
+                            &pool);
     batch_ex.set_params(&bound);
     ResultTable got = batch_ex.Execute(prep.physical);
 
@@ -730,13 +727,6 @@ TEST_F(BatchExecTest, OutcomeCarriesPipelineStats) {
   ASSERT_FALSE(seq_out.stats.pipelines.empty());
   for (const auto& p : seq_out.stats.pipelines) EXPECT_EQ(p.threads, 1);
   EXPECT_EQ(seq_out.stats.pipelines.back().rows_out, seq_out.NumRows());
-}
-
-TEST_F(BatchExecTest, AutoThreadCountIsHardwareSized) {
-  MorselOptions mopts;
-  mopts.threads = 0;
-  MorselExecutor ex(ldbc_->graph.get(), mopts);
-  EXPECT_GE(ex.threads(), 1);
 }
 
 }  // namespace

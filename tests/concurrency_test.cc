@@ -290,17 +290,17 @@ TEST(ConcurrencyTest, ConcurrentRunOnDistributedBackend) {
 TEST(ConcurrencyTest, ParallelCboRecordsPerPatternTimings) {
   auto g = PaperGraph();
   EngineOptions opts;
-  // Explicit pool width (auto mode falls back to sequential for patterns
-  // this small — thread spawn would outweigh the searches).
-  opts.cbo_pattern_threads = 2;
+  // A pool of one thread besides the caller: the CBO plans the two
+  // patterns on it.
+  opts.exec_threads = 2;
   GOptEngine engine(g.get(), BackendSpec::Neo4jLike(), opts);
   // Two MATCH clauses stay two MATCH_PATTERN nodes (JoinToPattern cannot
-  // merge patterns that share no vertex), so the CBO fans out over both.
-  auto prep = engine.Prepare(
+  // merge patterns that share no vertex), so the CBO plans both.
+  const std::string q =
       "MATCH (a:Person)-[:Knows]->(b:Person) "
-      "MATCH (c:Person)-[:Purchases]->(p:Product) RETURN a, c");
+      "MATCH (c:Person)-[:Purchases]->(p:Product) RETURN a, c";
+  auto prep = engine.Prepare(q);
   ASSERT_TRUE(prep.trace != nullptr);
-  EXPECT_EQ(prep.trace->cbo_threads, 2);
   ASSERT_EQ(prep.trace->cbo_patterns.size(), 2u);
   for (const auto& t : prep.trace->cbo_patterns) {
     EXPECT_GE(t.ms, 0.0);
@@ -313,42 +313,13 @@ TEST(ConcurrencyTest, ParallelCboRecordsPerPatternTimings) {
   EXPECT_NE(explain.find("pattern#0"), std::string::npos);
   EXPECT_NE(explain.find("pattern#1"), std::string::npos);
 
-  // Same query, parallel vs sequential planning: identical plans (the
-  // fingerprint excludes the knob for exactly this reason).
-  EngineOptions seq;
-  seq.cbo_pattern_threads = 1;
-  GOptEngine sequential(g.get(), BackendSpec::Neo4jLike(), seq);
-  auto sprep = sequential.Prepare(
-      "MATCH (a:Person)-[:Knows]->(b:Person) "
-      "MATCH (c:Person)-[:Purchases]->(p:Product) RETURN a, c");
+  // Same query on a default (poolless) engine plans every pattern inline:
+  // identical plans, which is why exec_threads is fingerprint-excluded.
+  GOptEngine sequential(g.get(), BackendSpec::Neo4jLike());
+  auto sprep = sequential.Prepare(q);
+  ASSERT_EQ(sprep.trace->cbo_patterns.size(), 2u);
   EXPECT_EQ(sprep.physical->ToString(g->schema()),
             prep.physical->ToString(g->schema()));
-}
-
-TEST(ConcurrencyTest, AutoCboModeStaysSequentialForTinyPatterns) {
-  // Auto mode (cbo_pattern_threads = 0) must not pay thread spawns for
-  // single-edge patterns that plan in microseconds.
-  auto g = PaperGraph();
-  GOptEngine engine(g.get(), BackendSpec::Neo4jLike());
-  auto prep = engine.Prepare(
-      "MATCH (a:Person)-[:Knows]->(b:Person) "
-      "MATCH (c:Person)-[:Purchases]->(p:Product) RETURN a, c");
-  ASSERT_TRUE(prep.trace != nullptr);
-  EXPECT_EQ(prep.trace->cbo_threads, 1);
-  EXPECT_EQ(prep.trace->cbo_patterns.size(), 2u);
-}
-
-TEST(ConcurrencyTest, SingleThreadedCboForcedByOption) {
-  auto g = PaperGraph();
-  EngineOptions opts;
-  opts.cbo_pattern_threads = 1;
-  GOptEngine engine(g.get(), BackendSpec::Neo4jLike(), opts);
-  auto prep = engine.Prepare(
-      "MATCH (a:Person)-[:Knows]->(b:Person) "
-      "MATCH (c:Person)-[:Purchases]->(p:Product) RETURN a, c");
-  ASSERT_TRUE(prep.trace != nullptr);
-  EXPECT_EQ(prep.trace->cbo_threads, 1);
-  EXPECT_EQ(prep.trace->cbo_patterns.size(), 2u);
 }
 
 TEST(ConcurrencyTest, ExecOutcomeCarriesPerCallMetrics) {

@@ -337,6 +337,43 @@ TEST_F(FactorizedExecTest, ChooserModesAndLazyLiveness) {
   EXPECT_TRUE(saw_flatten) << plan2.ToString();
 }
 
+TEST_F(FactorizedExecTest, AutoKeepsAggregateOverExpandedColumnFlat) {
+  // A pipeline whose lone expansion feeds an aggregate: groups pay only
+  // when the aggregate reads none of the columns the expansion produces.
+  // COUNT(m) reads the expanded m, so kAuto keeps the pipeline flat rather
+  // than gather every group back into rows; COUNT(*) leaves m dead, so the
+  // expansion goes lazy and the pipeline factorizes.
+  auto aut = MakeEngine(FactorizationMode::kAuto);
+  auto off = MakeEngine(FactorizationMode::kOff);
+  for (const bool count_star : {false, true}) {
+    const std::string q =
+        std::string("MATCH (t:Tag)<-[:HAS_TAG]-(m:Post|Comment) "
+                    "RETURN t.name AS tag, ") +
+        (count_star ? "COUNT(*)" : "COUNT(m)") + " AS n";
+    const Prepared prep = aut->Prepare(q);
+    ASSERT_TRUE(prep.exec_pipelines != nullptr);
+    const Pipeline* agg = nullptr;
+    for (const Pipeline& p : prep.exec_pipelines->pipelines) {
+      if (p.sink_is_breaker() && p.sink->kind == PhysOpKind::kAggregate) {
+        agg = &p;
+      }
+    }
+    ASSERT_NE(agg, nullptr) << prep.exec_pipelines->ToString();
+    ASSERT_FALSE(agg->ops.empty());
+    ASSERT_EQ(agg->ops.front()->kind, PhysOpKind::kExpandEdge);
+    ASSERT_EQ(agg->ops.front()->alias, "m");
+    if (!count_star) {
+      // The shape under test: Scan(t) -> Expand(m) => Aggregate.
+      ASSERT_EQ(agg->ops.size(), 1u) << prep.exec_pipelines->ToString();
+    }
+    EXPECT_EQ(agg->factorized, count_star) << prep.exec_pipelines->ToString();
+    const ExecOutcome got = aut->Execute(prep);
+    const ExecOutcome want = off->Run(q);
+    EXPECT_TRUE(got.SameRows(want)) << q;
+    EXPECT_EQ(got.stats.rows_produced, want.stats.rows_produced) << q;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Lazy-flatten correctness at every breaker kind
 // ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@
 namespace gopt {
 namespace {
 
-/// Compile-time arity check: exactly 27 fields. If this line fails to
+/// Compile-time arity check: exactly 26 fields. If this line fails to
 /// compile, EngineOptions changed shape — update the binding AND add the
 /// new field to either ChangesFingerprint or LeavesFingerprintAlone below.
 void StaticFieldCountGuard() {
@@ -33,11 +33,10 @@ void StaticFieldCountGuard() {
   auto& [mode, enable_rbo, enable_type_inference, enable_cbo,
          high_order_stats, enable_agg_pushdown, greedy_only, semantics,
          glogue_k, glogue_sample_rate, random_plan_seed, planning_backend,
-         rbo_rule_filter, cbo_pattern_threads, exec_threads, partitions,
-         partition_policy, partition_refine_sweeps, partition_balance_cap,
-         factorization, vectorize, enable_plan_cache, plan_cache_capacity,
-         plan_cache, result_cache_bytes, result_cache,
-         auto_parameterize] = o;
+         rbo_rule_filter, exec_threads, partitions, partition_policy,
+         partition_refine_sweeps, partition_balance_cap, factorization,
+         vectorize, enable_plan_cache, plan_cache_capacity, plan_cache,
+         result_cache_bytes, result_cache, auto_parameterize] = o;
   (void)mode;
   (void)enable_rbo;
   (void)enable_type_inference;
@@ -51,7 +50,6 @@ void StaticFieldCountGuard() {
   (void)random_plan_seed;
   (void)planning_backend;
   (void)rbo_rule_filter;
-  (void)cbo_pattern_threads;
   (void)exec_threads;
   (void)partitions;
   (void)partition_policy;
@@ -133,8 +131,6 @@ TEST(OptionsFingerprintTest, NonPlanAffectingKnobsLeaveFingerprintAlone) {
   // Thread counts never change produced plans (differential-tested), and
   // the cache knobs must not fragment keys: caching configuration cannot
   // be allowed to change what is being cached.
-  EXPECT_EQ(FP([](EngineOptions* o) { o->cbo_pattern_threads = 7; }),
-            kDefaultFp);
   EXPECT_EQ(FP([](EngineOptions* o) { o->exec_threads = 8; }), kDefaultFp);
   EXPECT_EQ(FP([](EngineOptions* o) { o->vectorize = false; }), kDefaultFp);
   EXPECT_EQ(FP([](EngineOptions* o) { o->enable_plan_cache = false; }),

@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <new>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -68,6 +70,31 @@ TEST(WorkerPoolTest, FirstExceptionReachesCallerAndPoolStaysUsable) {
                std::runtime_error);
   EXPECT_GE(ran.load(), 1);
   std::atomic<int> after{0};
+  pool.ParallelFor(100, [&](size_t) { after++; });
+  EXPECT_EQ(after.load(), 100);
+
+  // An allocation failure on a pool thread reaches the caller with its
+  // type intact. The caller's own index waits until a pool thread has
+  // thrown, so the throw is certain to happen off the calling thread.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> thrown{false};
+  EXPECT_THROW(
+      pool.ParallelFor(64,
+                       [&](size_t) {
+                         if (std::this_thread::get_id() != caller) {
+                           if (!thrown.exchange(true)) throw std::bad_alloc();
+                           return;
+                         }
+                         const auto deadline = std::chrono::steady_clock::now() +
+                                               std::chrono::seconds(30);
+                         while (!thrown.load() &&
+                                std::chrono::steady_clock::now() < deadline) {
+                           std::this_thread::yield();
+                         }
+                       }),
+      std::bad_alloc);
+  EXPECT_TRUE(thrown.load());
+  after = 0;
   pool.ParallelFor(100, [&](size_t) { after++; });
   EXPECT_EQ(after.load(), 100);
 }
@@ -274,6 +301,49 @@ int CountThreads() {
   return n;
 }
 
+/// The thread count once it equals `want`, or after 5 s, whichever comes
+/// first: a joined thread can stay listed for a moment after its join
+/// returns.
+int ThreadCountSettledAt(int want) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  int n = CountThreads();
+  while (n != want && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    n = CountThreads();
+  }
+  return n;
+}
+
+/// Watches the process's thread count from its own thread, so a thread
+/// that is started and joined between two reads of the count is caught
+/// too, not only a leak. The sampler thread itself is part of the count.
+class ThreadPeakSampler {
+ public:
+  ThreadPeakSampler()
+      : sampler_([this] {
+          while (!stop_.load()) {
+            const int n = CountThreads();
+            int seen = peak_.load();
+            while (n > seen && !peak_.compare_exchange_weak(seen, n)) {
+            }
+            std::this_thread::yield();
+          }
+        }) {}
+  /// Stops sampling and returns the highest count seen.
+  int Peak() {
+    stop_ = true;
+    if (sampler_.joinable()) sampler_.join();
+    return peak_.load();
+  }
+  ~ThreadPeakSampler() { Peak(); }
+
+ private:
+  std::atomic<bool> stop_{false};
+  std::atomic<int> peak_{0};
+  std::thread sampler_;
+};
+
 TEST_F(EnginePoolTest, QueriesStartNoThreads) {
   auto dist2 = MakeDistEngine(2);
   auto dist4 = MakeDistEngine(4);
@@ -290,19 +360,7 @@ TEST_F(EnginePoolTest, QueriesStartNoThreads) {
   ASSERT_TRUE(RanOnPool(dist2->Execute(s2)));
   ASSERT_TRUE(RanOnPool(dist4->Execute(s4)));
 
-  // A sampler watches the count while the queries run, so a thread that is
-  // started and joined within one query is caught too, not only a leak.
-  std::atomic<bool> stop{false};
-  std::atomic<int> peak{0};
-  std::thread sampler([&] {
-    while (!stop.load()) {
-      const int n = CountThreads();
-      int seen = peak.load();
-      while (n > seen && !peak.compare_exchange_weak(seen, n)) {
-      }
-      std::this_thread::yield();
-    }
-  });
+  ThreadPeakSampler sampler;
   const int base = CountThreads();
   ASSERT_GT(base, 0);
   for (int i = 0; i < 200; ++i) {
@@ -314,9 +372,57 @@ TEST_F(EnginePoolTest, QueriesStartNoThreads) {
   EXPECT_EQ(CountThreads(), base);
   for (int i = 0; i < 200; ++i) morsel->Execute(pm);
   EXPECT_EQ(CountThreads(), base);
-  stop = true;
-  sampler.join();
-  EXPECT_EQ(peak.load(), base);
+  EXPECT_EQ(sampler.Peak(), base);
+}
+
+TEST_F(EnginePoolTest, PlanningStartsNoThreads) {
+  // Two triangles that share no vertex stay two MATCH_PATTERN nodes, so
+  // the CBO plans two 3-edge patterns per Prepare. The plan cache is off:
+  // every Prepare plans cold.
+  const std::string q =
+      "MATCH (a:Person)-[:KNOWS]->(b:Person)-[:KNOWS]->(c:Person), "
+      "(a)-[:KNOWS]->(c) "
+      "MATCH (x:Person)-[:KNOWS]->(y:Person)-[:KNOWS]->(z:Person), "
+      "(x)-[:KNOWS]->(z) RETURN COUNT(*) AS n";
+  EngineOptions opts;
+  opts.enable_plan_cache = false;
+  GOptEngine seq(ldbc_->graph.get(), BackendSpec::Neo4jLike(), opts);
+  opts.exec_threads = 4;
+  GOptEngine par(ldbc_->graph.get(), BackendSpec::Neo4jLike(), opts);
+  for (GOptEngine* e : {&seq, &par}) e->SetGlogue(*glogue_);
+  const Prepared ps = seq.Prepare(q);
+  const Prepared pp = par.Prepare(q);
+  ASSERT_EQ(ps.trace->cbo_patterns.size(), 2u);
+  ASSERT_EQ(pp.trace->cbo_patterns.size(), 2u);
+  for (const auto& t : pp.trace->cbo_patterns) EXPECT_EQ(t.edges, 3u);
+  EXPECT_EQ(ps.physical->ToString(ldbc_->graph->schema()),
+            pp.physical->ToString(ldbc_->graph->schema()));
+
+  ThreadPeakSampler sampler;
+  const int base = CountThreads();
+  ASSERT_GT(base, 0);
+  for (int i = 0; i < 200; ++i) {
+    EXPECT_FALSE(seq.Prepare(q).from_cache);
+    EXPECT_FALSE(par.Prepare(q).from_cache);
+  }
+  EXPECT_EQ(CountThreads(), base);
+  EXPECT_EQ(sampler.Peak(), base);
+}
+
+TEST_F(EnginePoolTest, AutoExecThreadsSizePoolToHardware) {
+  // exec_threads = 0 sizes the engine's pool to the hardware: one thread
+  // per hardware thread beyond the caller's own, started at construction.
+  const int hw = static_cast<int>(
+      std::max(1u, std::thread::hardware_concurrency()));
+  const int base = CountThreads();
+  ASSERT_GT(base, 0);
+  EngineOptions opts;
+  opts.exec_threads = 0;
+  auto engine = std::make_unique<GOptEngine>(ldbc_->graph.get(),
+                                             BackendSpec::Neo4jLike(), opts);
+  EXPECT_EQ(ThreadCountSettledAt(base + hw - 1), base + hw - 1);
+  engine.reset();
+  EXPECT_EQ(ThreadCountSettledAt(base), base);
 }
 #endif  // __linux__
 
