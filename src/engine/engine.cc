@@ -23,6 +23,36 @@ int StorePartitions(const BackendSpec& backend, const EngineOptions& opts) {
   return backend.distributed ? std::max(1, backend.num_workers) : 0;
 }
 
+/// The engine's sharded store, or null when it has none.
+std::shared_ptr<const PartitionedGraph> BuildStore(
+    const PropertyGraph* g, const BackendSpec& backend,
+    const EngineOptions& opts) {
+  const int P = StorePartitions(backend, opts);
+  if (P == 0) return nullptr;
+  PartitionerOptions popts;
+  popts.refine_sweeps = opts.partition_refine_sweeps;
+  popts.balance_cap = opts.partition_balance_cap;
+  return PartitionedGraph::Build(g, opts.partition_policy, P, popts);
+}
+
+/// The store's measured cut ratios as the CBO's communication profile:
+/// partition-local expansions price cheaper than cross-partition ones
+/// (docs/storage.md). Empty when there is no store.
+CommProfile MeasureComm(const PartitionedGraph* store,
+                        const PropertyGraph& g) {
+  CommProfile comm;
+  if (!store) return comm;
+  const int P = store->num_partitions();
+  comm.rehash =
+      P <= 1 ? 0.0 : static_cast<double>(P - 1) / static_cast<double>(P);
+  comm.all_cut = store->CutFraction();
+  comm.cut_by_etype.resize(g.schema().NumEdgeTypes());
+  for (TypeId t = 0; t < comm.cut_by_etype.size(); ++t) {
+    comm.cut_by_etype[t] = store->CutFraction(t);
+  }
+  return comm;
+}
+
 }  // namespace
 
 GOptEngine::GOptEngine(const PropertyGraph* g, BackendSpec backend,
@@ -46,6 +76,8 @@ GOptEngine::GOptEngine(const PropertyGraph* g, BackendSpec backend,
                     : opts.result_cache_bytes > 0
                         ? std::make_shared<ResultCache>(opts.result_cache_bytes)
                         : nullptr),
+      store_(BuildStore(g_, backend_, opts_)),
+      comm_(MeasureComm(store_.get(), *g_)),
       // One thread per partition or morsel worker beyond the caller's own.
       pool_(std::make_unique<WorkerPool>(
           std::max(StorePartitions(backend_, opts_),
@@ -53,136 +85,7 @@ GOptEngine::GOptEngine(const PropertyGraph* g, BackendSpec backend,
                        ? opts.exec_threads
                        : static_cast<int>(std::max(
                              1u, std::thread::hardware_concurrency()))) -
-          1)) {
-  const int P = StorePartitions(backend_, opts_);
-  if (P > 0) {
-    PartitionerOptions popts;
-    popts.refine_sweeps = opts_.partition_refine_sweeps;
-    popts.balance_cap = opts_.partition_balance_cap;
-    store_state_ = MakeStoreState(
-        PartitionedGraph::Build(g_, opts_.partition_policy, P, popts), *g_);
-    observed_rows_.assign(static_cast<size_t>(P), 0);
-  }
-}
-
-std::shared_ptr<const GOptEngine::StoreState> GOptEngine::MakeStoreState(
-    std::shared_ptr<const PartitionedGraph> store, const PropertyGraph& g) {
-  auto ss = std::make_shared<StoreState>();
-  // The store's measured cut ratios become the CBO's communication
-  // profile: partition-local expansions price cheaper than
-  // cross-partition ones (docs/storage.md). Recomputed per generation, so
-  // a rebalanced map re-prices exchanges with its own cut.
-  const int P = store->num_partitions();
-  ss->comm.rehash =
-      P <= 1 ? 0.0 : static_cast<double>(P - 1) / static_cast<double>(P);
-  ss->comm.all_cut = store->CutFraction();
-  ss->comm.cut_by_etype.resize(g.schema().NumEdgeTypes());
-  for (TypeId t = 0; t < ss->comm.cut_by_etype.size(); ++t) {
-    ss->comm.cut_by_etype[t] = store->CutFraction(t);
-  }
-  ss->store = std::move(store);
-  return ss;
-}
-
-std::shared_ptr<const GOptEngine::StoreState> GOptEngine::SnapshotStore()
-    const {
-  std::lock_guard<std::mutex> lock(store_mu_);
-  return store_state_;
-}
-
-std::shared_ptr<const PartitionedGraph> GOptEngine::partitioned_store() const {
-  std::shared_ptr<const StoreState> ss = SnapshotStore();
-  return ss ? ss->store : nullptr;
-}
-
-void GOptEngine::ObservePartitionRows(const ExecStats& stats) const {
-  if (stats.partition_rows.empty()) return;
-  std::lock_guard<std::mutex> lock(obs_mu_);
-  if (observed_rows_.size() < stats.partition_rows.size()) {
-    observed_rows_.resize(stats.partition_rows.size(), 0);
-  }
-  for (size_t p = 0; p < stats.partition_rows.size(); ++p) {
-    observed_rows_[p] += stats.partition_rows[p];
-  }
-}
-
-std::vector<uint64_t> GOptEngine::observed_partition_rows() const {
-  std::lock_guard<std::mutex> lock(obs_mu_);
-  return observed_rows_;
-}
-
-RebalanceReport GOptEngine::RebalancePartitions(const RebalanceOptions& opts) {
-  RebalanceReport rep;
-  std::shared_ptr<const StoreState> ss = SnapshotStore();
-  if (!ss) {
-    rep.reason =
-        "unpartitioned engine (single-machine backend, partitions == 0)";
-    return rep;
-  }
-  const PartitionedGraph& cur = *ss->store;
-  rep.old_epoch = rep.new_epoch = cur.epoch();
-  rep.old_version = rep.new_version = cur.version();
-  rep.old_cut_edges = rep.new_cut_edges = cur.total_cut_edges();
-
-  RebalancePlan plan = PlanRebalance(cur, observed_partition_rows(), opts);
-  rep.rows_balance_before = plan.rows_balance;
-  if (plan.moves == 0) {
-    rep.reason = (!opts.force && plan.rows_balance <= opts.overload_ratio)
-                     ? "observed skew below overload_ratio"
-                     : "no beneficial move under the balance cap";
-    return rep;
-  }
-
-  std::shared_ptr<const PartitionedGraph> next =
-      PartitionedGraph::BuildRebalanced(cur, std::move(plan.ownership));
-  rep.rebalanced = true;
-  rep.vertices_moved = plan.moves;
-  rep.new_epoch = next->epoch();
-  rep.new_version = next->version();
-  rep.new_cut_edges = next->total_cut_edges();
-  rep.reason = "migrated";
-
-  {
-    std::lock_guard<std::mutex> lock(store_mu_);
-    store_state_ = MakeStoreState(std::move(next), *g_);
-  }
-  // In-flight executions keep the old generation alive through their
-  // snapshots and complete on it; everything from here on sees the new one.
-
-  // Reset the observation stream: the old counters described the old map.
-  {
-    std::lock_guard<std::mutex> lock(obs_mu_);
-    observed_rows_.assign(static_cast<size_t>(cur.num_partitions()), 0);
-  }
-
-  // Precise cache invalidation, mirroring SetGlogue's epoch bump: plans of
-  // the old partition epoch were priced against the old cut ratios and
-  // their keys just became unreachable for this engine — drop exactly this
-  // graph's entries of that epoch. Result-cache entries are dropped by the
-  // same (graph, partition epoch) scope across all glogue epochs; peer
-  // graphs and live epochs are untouched.
-  const std::string graph_tag = std::to_string(g_->instance_id());
-  const std::string pepoch_tag = std::to_string(rep.old_epoch);
-  plan_cache_->EraseIf([&graph_tag, &pepoch_tag](const std::string& key) {
-    // Keys end "\x1f<graph>\x1f<glogue epoch>\x1f<partition epoch>".
-    const size_t pepoch_sep = key.rfind('\x1f');
-    if (pepoch_sep == std::string::npos || pepoch_sep == 0) return false;
-    if (key.compare(pepoch_sep + 1, std::string::npos, pepoch_tag) != 0) {
-      return false;
-    }
-    const size_t gepoch_sep = key.rfind('\x1f', pepoch_sep - 1);
-    if (gepoch_sep == std::string::npos || gepoch_sep == 0) return false;
-    const size_t graph_sep = key.rfind('\x1f', gepoch_sep - 1);
-    if (graph_sep == std::string::npos) return false;
-    return key.compare(graph_sep + 1, gepoch_sep - graph_sep - 1,
-                       graph_tag) == 0;
-  });
-  if (result_cache_) {
-    result_cache_->EraseScope(g_->instance_id(), ResultCache::kAnyEpoch,
-                              rep.old_epoch);
-  }
-  return rep;
-}
+          1)) {}
 
 void GOptEngine::SetGlogue(std::shared_ptr<const Glogue> gl) {
   uint64_t old_epoch;
@@ -217,20 +120,9 @@ std::shared_ptr<const Glogue> GOptEngine::glogue() const {
 }
 
 void GOptEngine::ClearPlanCache() {
-  // Keys end with "\x1f<graph>\x1f<glogue epoch>\x1f<partition epoch>"
-  // (PlanCacheKeyFromCanonical); match the graph segment exactly — parsed
-  // from the key's tail, so a \x1f byte inside the query text can't fake a
-  // scope boundary.
-  const std::string graph_tag = std::to_string(g_->instance_id());
-  plan_cache_->EraseIf([&graph_tag](const std::string& key) {
-    const size_t pepoch_sep = key.rfind('\x1f');
-    if (pepoch_sep == std::string::npos || pepoch_sep == 0) return false;
-    const size_t gepoch_sep = key.rfind('\x1f', pepoch_sep - 1);
-    if (gepoch_sep == std::string::npos || gepoch_sep == 0) return false;
-    const size_t graph_sep = key.rfind('\x1f', gepoch_sep - 1);
-    if (graph_sep == std::string::npos) return false;
-    return key.compare(graph_sep + 1, gepoch_sep - graph_sep - 1,
-                       graph_tag) == 0;
+  const uint64_t graph = g_->instance_id();
+  plan_cache_->EraseIf([graph](const std::string& key) {
+    return PlanCacheKeyGraph(key) == graph;
   });
 }
 
@@ -258,7 +150,6 @@ GOptEngine::StatsSnapshot GOptEngine::SnapshotStats() const {
 
 Prepared GOptEngine::PlanQuery(const std::string& query, Language lang,
                                const StatsSnapshot& stats,
-                               const StoreState* store,
                                const CancelToken& cancel) const {
   PassManager pipeline = BuildPipeline(opts_);
 
@@ -270,7 +161,7 @@ Prepared GOptEngine::PlanQuery(const std::string& query, Language lang,
   ctx.glogue = stats.glogue.get();
   ctx.gq_high = stats.gq_high.get();
   ctx.gq_low = stats.gq_low.get();
-  ctx.comm = store ? &store->comm : nullptr;
+  ctx.comm = store_ ? &comm_ : nullptr;
   ctx.cancel = cancel;
   ctx.pool = pool_.get();
 
@@ -303,71 +194,55 @@ PipelinePlan GOptEngine::BuildExecPipelines(const PhysOpPtr& root) const {
 
 Prepared GOptEngine::Prepare(const std::string& query, Language lang,
                              CancelToken cancel) const {
-  // Snapshot the statistics handles and the store generation up front: the
-  // whole Prepare plans against one consistent Glogue and one ownership
-  // map even if SetGlogue or RebalancePartitions lands concurrently.
+  // Snapshot the statistics handles up front: the whole Prepare plans
+  // against one consistent Glogue even if SetGlogue lands concurrently.
   StatsSnapshot stats = SnapshotStats();
-  std::shared_ptr<const StoreState> store = SnapshotStore();
-  const uint64_t pepoch = store ? store->store->epoch() : 0;
   // Split the query into a canonical parameterized stream (the plan shape)
   // and this call's literal bindings; planning and the cache only ever see
   // the stream. With the cache disabled there is no sharing to gain, so
   // literal extraction is skipped and only user-written $params remain.
   ParameterizedQuery pq = ParameterizeQuery(
       query, lang, opts_.auto_parameterize && opts_.enable_plan_cache);
-  auto plan_parameterized = [&]() {
-    try {
-      return PlanQuery(pq.text, lang, stats, store.get(), cancel);
-    } catch (const CancelledError&) {
-      throw;  // typed cancellation, not a parse/plan error — keep it as-is
-    } catch (const std::exception& e) {
-      if (pq.text == query) throw;
-      // Parse errors carry token positions into the canonical stream, not
-      // the user's original spelling — include the stream so they are
-      // interpretable.
-      throw std::runtime_error(std::string(e.what()) +
-                               " [in canonical query: " + pq.text + "]");
-    }
-  };
   // The scoped plan key is computed even with the plan cache disabled: it
   // is also the plan component of result-cache keys, which need the same
   // (text, language, options, graph, epoch) discrimination.
   PlanCacheScope scope;
   scope.graph = g_->instance_id();
   scope.glogue_epoch = stats.epoch;
-  scope.partition_epoch = pepoch;
   scope.backend = backend_hash_;
   const std::string key =
       PlanCacheKeyFromCanonical(pq.text, lang, opts_, scope);
-  if (!opts_.enable_plan_cache) {
-    Prepared prep = plan_parameterized();
-    prep.parameterized_query = std::move(pq.text);
-    prep.lang = lang;
-    prep.plan_key = key;
-    prep.glogue_epoch = stats.epoch;
-    prep.partition_epoch = pepoch;
-    prep.required_params = std::move(pq.required_params);
-    prep.params = std::move(pq.bindings);
-    return prep;
+  if (opts_.enable_plan_cache) {
+    if (std::shared_ptr<const Prepared> hit = plan_cache_->Get(key)) {
+      Prepared prep = *hit;
+      prep.from_cache = true;
+      // The plan is shared; the bindings are this call's own.
+      prep.params = std::move(pq.bindings);
+      return prep;
+    }
   }
-  if (std::shared_ptr<const Prepared> hit = plan_cache_->Get(key)) {
-    Prepared prep = *hit;
-    prep.from_cache = true;
-    // The plan is shared; the bindings are this call's own.
-    prep.params = std::move(pq.bindings);
-    return prep;
+  Prepared prep;
+  try {
+    prep = PlanQuery(pq.text, lang, stats, cancel);
+  } catch (const CancelledError&) {
+    throw;  // typed cancellation, not a parse/plan error — keep it as-is
+  } catch (const std::exception& e) {
+    if (pq.text == query) throw;
+    // Parse errors carry token positions into the canonical stream, not
+    // the user's original spelling — include the stream so they are
+    // interpretable.
+    throw std::runtime_error(std::string(e.what()) +
+                             " [in canonical query: " + pq.text + "]");
   }
-  Prepared prep = plan_parameterized();
   prep.parameterized_query = std::move(pq.text);
   prep.lang = lang;
   prep.plan_key = key;
   prep.glogue_epoch = stats.epoch;
-  prep.partition_epoch = pepoch;
   prep.required_params = std::move(pq.required_params);
   // Cache the binding-independent plan; this call's extracted literals are
   // attached only to the returned copy. A concurrent Prepare of the same
   // shape may race to Put — both plans are equivalent, last write wins.
-  plan_cache_->Put(key, prep);
+  if (opts_.enable_plan_cache) plan_cache_->Put(key, prep);
   prep.params = std::move(pq.bindings);
   return prep;
 }
@@ -375,15 +250,12 @@ Prepared GOptEngine::Prepare(const std::string& query, Language lang,
 ResultTable GOptEngine::RunPhysical(const PhysOpPtr& root,
                                     const PipelinePlan* pipelines,
                                     const ParamMap& bound,
-                                    const StoreState* store,
                                     ExecStats* stats,
                                     const CancelToken& cancel) const {
   // A fresh executor per call: all execution state (results, stats) is
   // call-local, so any number of Execute calls may run concurrently on one
-  // engine. The caller's store snapshot pins one ownership-map generation
-  // for the whole call (a concurrent rebalance cannot pull it out from
-  // under the executor). Every pipeline gets the pool's threads plus the
-  // calling thread as worker slots; at one slot every morsel runs inline.
+  // engine. Every pipeline gets the pool's threads plus the calling thread
+  // as worker slots; at one slot every morsel runs inline.
   PipelinePlan local;
   if (pipelines == nullptr) {
     local = BuildExecPipelines(root);
@@ -391,13 +263,11 @@ ResultTable GOptEngine::RunPhysical(const PhysOpPtr& root,
   }
   MorselOptions mopts;
   mopts.vectorize = opts_.vectorize;
-  MorselExecutor ex(g_, mopts, store ? store->store.get() : nullptr,
-                    pool_.get());
+  MorselExecutor ex(g_, mopts, store_.get(), pool_.get());
   ex.set_params(&bound);
   ex.set_cancel(cancel);
   ResultTable table = ex.Execute(root, pipelines);
   *stats = ex.stats();
-  ObservePartitionRows(*stats);
   return table;
 }
 
@@ -413,14 +283,18 @@ ExecOutcome GOptEngine::Execute(const Prepared& prep, const ParamMap& params,
                                " (bind it via the params argument)");
     }
   }
-  ExecOutcome out;
-  if (prep.invalid || !prep.physical) {
+  // A run that yields no rows (invalid plan, cancelled run): an empty
+  // table with the plan's output columns, plus the result-cache counters.
+  auto empty_outcome = [&] {
+    ExecOutcome o;
     auto empty = std::make_shared<ResultTable>();
     empty->columns = prep.output_columns;
-    out.table_ptr = std::move(empty);
-    if (result_cache_) out.stats.result_cache = result_cache_->stats();
-    return out;
-  }
+    o.table_ptr = std::move(empty);
+    if (result_cache_) o.stats.result_cache = result_cache_->stats();
+    return o;
+  };
+  if (prep.invalid || !prep.physical) return empty_outcome();
+  ExecOutcome out;
   // Result-cache consult: keyed by the scoped plan key plus the effective
   // values of exactly the parameters the plan reads. A hit is zero-copy —
   // the cached immutable table is shared, no operator runs.
@@ -435,10 +309,13 @@ ExecOutcome GOptEngine::Execute(const Prepared& prep, const ParamMap& params,
       return out;
     }
   }
-  // One store snapshot for the whole execution: the in-flight-query
-  // guarantee of RebalancePartitions.
-  std::shared_ptr<const StoreState> store = SnapshotStore();
   auto t0 = std::chrono::steady_clock::now();
+  auto ms_since_t0 = [&t0] {
+    return std::chrono::duration_cast<std::chrono::microseconds>(
+               std::chrono::steady_clock::now() - t0)
+               .count() /
+           1000.0;
+  };
   std::shared_ptr<ResultTable> table;
   try {
     // An already-tripped token (e.g. the budget expired while queued or
@@ -446,39 +323,28 @@ ExecOutcome GOptEngine::Execute(const Prepared& prep, const ParamMap& params,
     cancel.Check();
     table = std::make_shared<ResultTable>(
         RunPhysical(prep.physical, prep.exec_pipelines.get(), bound,
-                    store.get(), &out.stats, cancel));
+                    &out.stats, cancel));
     // A row budget can trip on the final operator's own output, after the
     // runtime's last boundary check — the run "finished" but violated its
     // budget, so it types as cancelled like any other trip.
     cancel.Check();
   } catch (const CancelledError& e) {
     // Typed outcome: the partial stats are discarded (a half-run's counts
-    // would poison skew observations and parity checks), the table is
-    // empty, and the result cache is never populated from a cancelled run.
-    out.stats = ExecStats{};
-    if (result_cache_) out.stats.result_cache = result_cache_->stats();
-    out.status = e.status();
-    auto empty = std::make_shared<ResultTable>();
-    empty->columns = prep.output_columns;
-    out.table_ptr = std::move(empty);
-    auto tc = std::chrono::steady_clock::now();
-    out.ms = std::chrono::duration_cast<std::chrono::microseconds>(tc - t0)
-                 .count() /
-             1000.0;
-    return out;
+    // would poison parity checks), the table is empty, and the result
+    // cache is never populated from a cancelled run.
+    ExecOutcome cancelled = empty_outcome();
+    cancelled.status = e.status();
+    cancelled.ms = ms_since_t0();
+    return cancelled;
   }
   out.table_ptr = table;
-  auto t1 = std::chrono::steady_clock::now();
-  out.ms =
-      std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0).count() /
-      1000.0;
+  out.ms = ms_since_t0();
   if (result_cache_) {
     CachedResult entry;
     entry.table = table;
     entry.rows_produced = out.stats.rows_produced;
     result_cache_->Put(rkey,
-                       PlanCacheScope{g_->instance_id(), prep.glogue_epoch,
-                                      prep.partition_epoch},
+                       PlanCacheScope{g_->instance_id(), prep.glogue_epoch},
                        std::move(entry));
     out.stats.result_cache = result_cache_->stats();
   }
@@ -538,10 +404,9 @@ std::string GOptEngine::Explain(const Prepared& prep) const {
       s += "  result cache: disabled\n";
     }
   }
-  std::shared_ptr<const StoreState> store = SnapshotStore();
-  if (store) {
+  if (store_) {
     s += "=== Partitions ===\n";
-    std::string desc = store->store->Describe();
+    std::string desc = store_->Describe();
     // Indent the store description under the section header.
     size_t pos = 0;
     while (pos < desc.size()) {
@@ -652,8 +517,7 @@ std::string GOptEngine::Explain(const Prepared& prep,
                          outcome.stats.partition_rows[p]));
     }
     if (total_rows > 0) {
-      // Per-run row skew: max/mean rows per partition — the observation
-      // stream RebalancePartitions acts on.
+      // Per-run row skew: max/mean rows per partition.
       s += StrFormat(
           "  rows balance %.2f (max/mean)\n",
           static_cast<double>(max_rows) * outcome.stats.partition_rows.size() /

@@ -15,7 +15,6 @@
 #include "src/opt/pipeline/shared_plan_cache.h"
 #include "src/physical/converter.h"
 #include "src/store/partitioned_graph.h"
-#include "src/store/rebalancer.h"
 
 namespace gopt {
 
@@ -58,11 +57,6 @@ struct Prepared {
   /// every result-cache entry it populates, so a later SetGlogue can evict
   /// exactly this generation's results.
   uint64_t glogue_epoch = 0;
-  /// The ownership-map generation this plan was prepared under
-  /// (PartitionedGraph::epoch(); 0 on an unpartitioned or policy-built
-  /// store) — the partition-side scope tag of its result-cache entries, so
-  /// RebalancePartitions can evict exactly the pre-migration generation.
-  uint64_t partition_epoch = 0;
   /// Every parameter slot the plan references: auto-extracted $__pN slots
   /// plus user-written $name parameters, in first-occurrence order.
   /// Execute throws if any of them is unbound.
@@ -127,7 +121,8 @@ struct ExecOutcome {
 /// exchange rows by ownership and key; the single-machine backend shards
 /// only at partitions > 0 and then scans partition-granular morsels.
 /// Whenever a store exists the CBO prices communication with its measured
-/// edge-cut.
+/// edge-cut. The store is fixed for the engine's lifetime: ownership never
+/// migrates at run time.
 ///
 /// Prepared plans are a prepared-statement subsystem, not just a memoizer:
 /// Prepare first auto-parameterizes the query (constant tokens become $__pN
@@ -143,11 +138,10 @@ struct ExecOutcome {
 /// Explain are const and re-entrant — one engine may serve any number of
 /// threads, and several engines may share one plan cache (inject it via
 /// EngineOptions::plan_cache) and one Glogue (SetGlogue). Control-plane
-/// calls — SetGlogue, RebalancePartitions, ClearPlanCache,
-/// mutable_options() — must not run concurrently with mutable_options()
-/// writes; SetGlogue and RebalancePartitions are themselves safe against
-/// in-flight Prepare/Execute calls (they finish against the statistics
-/// and store generation they snapshotted).
+/// calls — SetGlogue, ClearPlanCache, mutable_options() — must not run
+/// concurrently with mutable_options() writes; SetGlogue is itself safe
+/// against in-flight Prepare/Execute calls (they finish against the
+/// statistics they snapshotted).
 class GOptEngine {
  public:
   using Prepared = gopt::Prepared;
@@ -252,34 +246,12 @@ class GOptEngine {
 
   const BackendSpec& backend() const { return backend_; }
   const PropertyGraph& graph() const { return *g_; }
-  /// The engine's current sharded store (null for a single-machine backend
-  /// at EngineOptions::partitions == 0). Returned by value: the engine's
-  /// reference may be swapped by a concurrent RebalancePartitions, and the
-  /// snapshot you hold stays valid (each store generation is immutable).
-  std::shared_ptr<const PartitionedGraph> partitioned_store() const;
-
-  /// Adaptive skew-aware rebalancing (docs/storage.md): consults the
-  /// accumulated per-partition row observations of past executions
-  /// (observed_partition_rows) and, when the max/mean skew exceeds
-  /// `opts.overload_ratio` (or `opts.force`), migrates hot vertices to an
-  /// updated ownership map via PlanRebalance + BuildRebalanced and swaps
-  /// the engine's store to the new generation. The swap is epoch-versioned:
-  /// in-flight Prepare/Execute calls finish on the old store (their
-  /// snapshot keeps it alive), new calls see the new one, and the plan /
-  /// result caches are invalidated precisely — only this graph's entries
-  /// of the *old* partition epoch are dropped; other graphs and other
-  /// engines' epochs survive.
-  /// Observed row counters reset on a successful migration. Results are
-  /// never affected (ownership is results-invariant; differential-tested).
-  /// Control-plane call like SetGlogue: safe against concurrent
-  /// Prepare/Execute, but external callers must serialize it against other
-  /// control-plane calls.
-  RebalanceReport RebalancePartitions(const RebalanceOptions& opts = {});
-
-  /// Accumulated per-partition rows over every execution since
-  /// construction or the last successful rebalance (empty when
-  /// unpartitioned) — the observation stream RebalancePartitions consults.
-  std::vector<uint64_t> observed_partition_rows() const;
+  /// The engine's sharded store, built in the constructor and never
+  /// replaced (null for a single-machine backend at
+  /// EngineOptions::partitions == 0).
+  const std::shared_ptr<const PartitionedGraph>& partitioned_store() const {
+    return store_;
+  }
 
   /// NOT thread-safe: option writes must be externally serialized against
   /// every concurrent use of the engine.
@@ -296,43 +268,20 @@ class GOptEngine {
   };
   StatsSnapshot SnapshotStats() const;
 
-  /// One immutable generation of the engine's sharded store: the
-  /// PartitionedGraph plus the communication profile the CBO prices its
-  /// measured cut ratios with. Held by shared_ptr and swapped atomically
-  /// (under store_mu_) by RebalancePartitions, so const re-entrant
-  /// Prepare/Execute snapshot one consistent (store, comm, epoch) even
-  /// while a migration lands — the in-flight-queries-finish-on-the-old-
-  /// epoch guarantee (docs/storage.md).
-  struct StoreState {
-    std::shared_ptr<const PartitionedGraph> store;
-    CommProfile comm;
-  };
-  /// Builds the CommProfile for `store` and wraps both into a StoreState.
-  static std::shared_ptr<const StoreState> MakeStoreState(
-      std::shared_ptr<const PartitionedGraph> store, const PropertyGraph& g);
-  /// The current store generation (null when unpartitioned).
-  std::shared_ptr<const StoreState> SnapshotStore() const;
-  /// Folds one run's per-partition row counts into the engine's
-  /// observation accumulator (no-op for unpartitioned runs).
-  void ObservePartitionRows(const ExecStats& stats) const;
-
-  /// Runs the full planning pipeline (no cache). `store` is the store
-  /// generation this plan prices communication against (may be null);
-  /// `cancel` is checked between passes and per CBO pattern task.
+  /// Runs the full planning pipeline (no cache). `cancel` is checked
+  /// between passes and per CBO pattern task.
   Prepared PlanQuery(const std::string& query, Language lang,
-                     const StatsSnapshot& stats, const StoreState* store,
+                     const StatsSnapshot& stats,
                      const CancelToken& cancel) const;
   /// The backend's pipeline decomposition of `root` (distributed or not),
   /// with the configured factorization decisions frozen in.
   PipelinePlan BuildExecPipelines(const PhysOpPtr& root) const;
   /// Runs one physical plan on the morsel runtime with `bound` parameter
   /// bindings, accumulating metrics into *stats. `pipelines` is the plan's
-  /// prebuilt decomposition (built here when null). `store` is the store
-  /// generation Execute snapshotted, so a whole call executes on one
-  /// generation.
+  /// prebuilt decomposition (built here when null).
   ResultTable RunPhysical(const PhysOpPtr& root, const PipelinePlan* pipelines,
-                          const ParamMap& bound, const StoreState* store,
-                          ExecStats* stats, const CancelToken& cancel = {}) const;
+                          const ParamMap& bound, ExecStats* stats,
+                          const CancelToken& cancel = {}) const;
 
   const PropertyGraph* g_;
   BackendSpec backend_;
@@ -345,15 +294,11 @@ class GOptEngine {
   /// Null when disabled (result_cache_bytes == 0 and no injected handle).
   std::shared_ptr<ResultCache> result_cache_;
 
-  /// Guards store_state_ swaps; mutable so const readers can snapshot.
-  mutable std::mutex store_mu_;
-  /// Current store generation (null for a single-machine backend at
-  /// opts_.partitions == 0); replaced wholesale by RebalancePartitions.
-  std::shared_ptr<const StoreState> store_state_;
-  /// Accumulated per-partition row observations feeding the rebalancer;
-  /// guarded by obs_mu_, reset on successful migration.
-  mutable std::mutex obs_mu_;
-  mutable std::vector<uint64_t> observed_rows_;
+  /// The sharded store (null for a single-machine backend at
+  /// opts_.partitions == 0) and the communication profile the CBO prices
+  /// its measured cut ratios with. Both set once in the constructor.
+  const std::shared_ptr<const PartitionedGraph> store_;
+  const CommProfile comm_;
 
   /// The persistent worker threads the runtime and the CBO's per-pattern
   /// planning run on (docs/concurrency.md): max(store partitions, resolved

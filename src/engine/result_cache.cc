@@ -44,14 +44,12 @@ void ResultCache::Put(const std::string& key, const PlanCacheScope& scope,
     it->second->value = std::make_shared<const CachedResult>(std::move(entry));
     it->second->graph = scope.graph;
     it->second->epoch = scope.glogue_epoch;
-    it->second->partition_epoch = scope.partition_epoch;
     s.lru.splice(s.lru.begin(), s.lru, it->second);
   } else {
     Entry e;
     e.key = key;
     e.graph = scope.graph;
     e.epoch = scope.glogue_epoch;
-    e.partition_epoch = scope.partition_epoch;
     s.bytes += entry.bytes;
     e.value = std::make_shared<const CachedResult>(std::move(entry));
     s.lru.push_front(std::move(e));
@@ -69,16 +67,13 @@ void ResultCache::Put(const std::string& key, const PlanCacheScope& scope,
   }
 }
 
-size_t ResultCache::EraseScope(uint64_t graph, uint64_t epoch,
-                               uint64_t partition_epoch) {
+size_t ResultCache::EraseScope(uint64_t graph, uint64_t epoch) {
   size_t erased = 0;
   for (size_t i = 0; i < num_shards_; ++i) {
     Shard& s = shards_[i];
     std::lock_guard<std::mutex> lock(s.mu);
     for (auto it = s.lru.begin(); it != s.lru.end();) {
-      if (it->graph == graph && (epoch == kAnyEpoch || it->epoch == epoch) &&
-          (partition_epoch == kAnyEpoch ||
-           it->partition_epoch == partition_epoch)) {
+      if (it->graph == graph && (epoch == kAnyEpoch || it->epoch == epoch)) {
         s.bytes -= it->value->bytes;
         s.index.erase(it->key);
         it = s.lru.erase(it);

@@ -71,16 +71,12 @@ class ResultCache {
   void Put(const std::string& key, const PlanCacheScope& scope,
            CachedResult entry);
 
-  /// Drops every entry whose scope matches `graph` (and `epoch` /
-  /// `partition_epoch`, unless kAnyEpoch). Returns how many were dropped.
-  /// Not counted as evictions — this is invalidation, not capacity
-  /// pressure. Entries of other graphs/epochs (peer engines on a shared
-  /// cache) are untouched: SetGlogue erases one (graph, glogue epoch)
-  /// generation across partition epochs, RebalancePartitions erases one
-  /// (graph, partition epoch) generation across glogue epochs.
+  /// Drops every entry whose scope matches `graph` (and `epoch`, unless
+  /// kAnyEpoch). Returns how many were dropped. Not counted as evictions —
+  /// this is invalidation, not capacity pressure. Entries of other
+  /// graphs/epochs (peer engines on a shared cache) are untouched.
   static constexpr uint64_t kAnyEpoch = ~static_cast<uint64_t>(0);
-  size_t EraseScope(uint64_t graph, uint64_t epoch = kAnyEpoch,
-                    uint64_t partition_epoch = kAnyEpoch);
+  size_t EraseScope(uint64_t graph, uint64_t epoch = kAnyEpoch);
 
   /// Drops everything in every shard (counters are preserved). On a shared
   /// cache this drops peers' entries too — scoped invalidation is what
@@ -100,7 +96,6 @@ class ResultCache {
     std::shared_ptr<const CachedResult> value;
     uint64_t graph = 0;
     uint64_t epoch = 0;
-    uint64_t partition_epoch = 0;
   };
   struct Shard {
     mutable std::mutex mu;

@@ -90,10 +90,8 @@ struct ExecStats {
   /// Rows produced per partition: every operator's emitted rows (the
   /// rows_produced count), charged to the partition holding the batch
   /// that emitted them — a single-machine breaker's output counts on
-  /// partition 0. The skew signal Explain surfaces and the engine
-  /// accumulates for RebalancePartitions (docs/storage.md); its max/mean
-  /// is the per-run rows balance Explain reports next to the vertex
-  /// balance.
+  /// partition 0. Its max/mean is the per-run rows balance Explain
+  /// reports next to the vertex balance.
   std::vector<uint64_t> partition_rows;
 
   // Vectorized-dispatch totals across the run (docs/vectorization.md).

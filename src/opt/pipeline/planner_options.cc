@@ -1,5 +1,6 @@
 #include "src/opt/pipeline/planner_options.h"
 
+#include <charconv>
 #include <cstring>
 
 #include "src/common/hash.h"
@@ -90,8 +91,6 @@ std::string PlanCacheKeyFromCanonical(const std::string& canonical_text,
   key += std::to_string(scope.graph);
   key.push_back('\x1f');
   key += std::to_string(scope.glogue_epoch);
-  key.push_back('\x1f');
-  key += std::to_string(scope.partition_epoch);
   return key;
 }
 
@@ -100,6 +99,20 @@ std::string PlanCacheKey(const std::string& query, Language lang,
                          const PlanCacheScope& scope) {
   return PlanCacheKeyFromCanonical(NormalizeQueryText(query), lang, opts,
                                    scope);
+}
+
+std::optional<uint64_t> PlanCacheKeyGraph(const std::string& key) {
+  // Keys end "\x1f<graph>\x1f<glogue epoch>".
+  const size_t epoch_sep = key.rfind('\x1f');
+  if (epoch_sep == std::string::npos || epoch_sep == 0) return std::nullopt;
+  const size_t graph_sep = key.rfind('\x1f', epoch_sep - 1);
+  if (graph_sep == std::string::npos) return std::nullopt;
+  const char* first = key.data() + graph_sep + 1;
+  const char* last = key.data() + epoch_sep;
+  uint64_t graph = 0;
+  auto [end, ec] = std::from_chars(first, last, graph);
+  if (ec != std::errc() || end != last) return std::nullopt;
+  return graph;
 }
 
 }  // namespace gopt

@@ -210,13 +210,6 @@ size_t HashBackendSpec(const BackendSpec& b);
 ///    while SetGlogue on one engine re-keys only that engine's lookups
 ///    (peers keep hitting their epoch's entries; the stale ones age out
 ///    of the LRU).
-///  - `partition_epoch`: the engine's ownership-map generation
-///    (PartitionedGraph::epoch()). 0 for any policy-built store — its
-///    content is fully determined by the fingerprinted options, so engines
-///    over the same graph still share plans — and a process-unique nonzero
-///    id after Engine::RebalancePartitions migrates the map, so post-
-///    migration lookups never hit plans priced against the old cut ratios
-///    (docs/storage.md).
 ///  - `backend`: HashBackendSpec of the executing backend. Planning
 ///    consults it (its PhysicalSpec decides which operators a plan may
 ///    contain) and the pipeline decomposition places a distributed
@@ -225,7 +218,6 @@ size_t HashBackendSpec(const BackendSpec& b);
 struct PlanCacheScope {
   uint64_t graph = 0;
   uint64_t glogue_epoch = 0;
-  uint64_t partition_epoch = 0;
   uint64_t backend = 0;
 };
 
@@ -240,5 +232,12 @@ std::string PlanCacheKeyFromCanonical(const std::string& canonical_text,
                                       Language lang,
                                       const EngineOptions& opts,
                                       const PlanCacheScope& scope = {});
+
+/// The `graph` scope component of a key built by PlanCacheKeyFromCanonical
+/// (nullopt when `key` is not one). Parsed from the key's tail, so a \x1f
+/// byte inside the query text cannot fake a scope boundary — the one
+/// reader of the key layout, for graph-scoped invalidation
+/// (GOptEngine::ClearPlanCache).
+std::optional<uint64_t> PlanCacheKeyGraph(const std::string& key);
 
 }  // namespace gopt

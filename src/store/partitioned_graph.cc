@@ -1,17 +1,11 @@
 #include "src/store/partitioned_graph.h"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
 
 #include "src/common/str_format.h"
 
 namespace gopt {
-
-uint64_t PartitionedGraph::NextRebalanceEpoch() {
-  static std::atomic<uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
 
 std::shared_ptr<const PartitionedGraph> PartitionedGraph::Build(
     const PropertyGraph* base, PartitionPolicy policy, int partitions,
@@ -19,27 +13,6 @@ std::shared_ptr<const PartitionedGraph> PartitionedGraph::Build(
   std::unique_ptr<GraphPartitioner> p =
       MakePartitioner(policy, partitions, *base, popts);
   return std::make_shared<const PartitionedGraph>(base, *p);
-}
-
-std::shared_ptr<const PartitionedGraph> PartitionedGraph::BuildRebalanced(
-    const PartitionedGraph& parent, std::vector<int32_t> ownership) {
-  if (ownership.size() != parent.base().NumVertices()) {
-    throw std::logic_error(
-        "BuildRebalanced: ownership map must cover every vertex");
-  }
-  const int next_version = parent.version() + 1;
-  // Name from the root policy, not the parent's label, so repeated
-  // rebalances read "rebalanced(edgecut(4),v3)" instead of nesting.
-  ExplicitPartitioner p(
-      parent.num_partitions(), parent.policy(),
-      StrFormat("rebalanced(%s(%d),v%d)",
-                PartitionPolicyName(parent.policy()),
-                parent.num_partitions(), next_version),
-      std::move(ownership));
-  auto pg = std::make_shared<PartitionedGraph>(&parent.base(), p);
-  pg->epoch_ = NextRebalanceEpoch();
-  pg->version_ = next_version;
-  return pg;
 }
 
 PartitionedGraph::PartitionedGraph(const PropertyGraph* base,
@@ -205,10 +178,9 @@ double PartitionedGraph::VertexBalance() const {
 std::string PartitionedGraph::Describe() const {
   std::string s = StrFormat(
       "partitioning: %s, %d partitions, edge-cut %zu/%zu (%.1f%%), "
-      "vertex balance %.2f (max/mean), epoch %llu\n",
+      "vertex balance %.2f (max/mean)\n",
       partitioner_name_.c_str(), num_partitions(), total_cut_edges_,
-      base_->NumEdges(), 100.0 * CutFraction(), VertexBalance(),
-      static_cast<unsigned long long>(epoch_));
+      base_->NumEdges(), 100.0 * CutFraction(), VertexBalance());
   for (size_t p = 0; p < parts_.size(); ++p) {
     const PartitionStats& st = parts_[p].stats;
     s += StrFormat("  p%zu: %zu vertices, %zu edges (%zu cut)\n", p,

@@ -54,16 +54,6 @@ class PartitionedGraph {
       const PropertyGraph* base, PartitionPolicy policy, int partitions,
       const PartitionerOptions& popts = {});
 
-  /// Re-shards `base` under an explicit migrated ownership map — the
-  /// rebalancer's constructor (src/store/rebalancer.h). The produced store
-  /// reports `parent`'s policy, `parent.version() + 1` as its version, and
-  /// a fresh process-unique nonzero epoch (policy-built stores share epoch
-  /// 0: their content is fully determined by the fingerprinted options, so
-  /// engines over the same graph may share plans; a migrated map is
-  /// engine-local state and must never collide with another engine's).
-  static std::shared_ptr<const PartitionedGraph> BuildRebalanced(
-      const PartitionedGraph& parent, std::vector<int32_t> ownership);
-
   PartitionedGraph(const PropertyGraph* base,
                    const GraphPartitioner& partitioner);
 
@@ -71,18 +61,6 @@ class PartitionedGraph {
   int num_partitions() const { return static_cast<int>(parts_.size()); }
   PartitionPolicy policy() const { return policy_; }
   const std::string& partitioner_name() const { return partitioner_name_; }
-
-  /// Ownership-map generation this store carries: 0 for any policy-built
-  /// store (content determined by the fingerprinted options), a
-  /// process-unique nonzero id for every rebalanced store. This is the
-  /// partition epoch of the plan/result-cache scope
-  /// (PlanCacheScope::partition_epoch): bumping it on migration re-keys an
-  /// engine's cache lookups so in-flight queries finish on the old map
-  /// while new Prepare/Execute calls see the new one (docs/storage.md).
-  uint64_t epoch() const { return epoch_; }
-  /// Human-facing generation counter: 1 for a policy-built store,
-  /// incremented by every rebalance. Surfaced by Describe()/Explain.
-  int version() const { return version_; }
 
   // ---- ownership ----
 
@@ -147,12 +125,12 @@ class PartitionedGraph {
   double CutFraction(TypeId etype) const;
 
   /// Balance metric over owned vertices: max/mean vertices per partition
-  /// (1.0 = perfectly balanced; 0 when the store is empty). The vertex-side
-  /// skew signal the rebalancer caps and Explain surfaces.
+  /// (1.0 = perfectly balanced; 0 when the store is empty). Surfaced by
+  /// Explain and ExecStats::store_vertex_balance.
   double VertexBalance() const;
 
   /// One line per partition (vertex/edge/cut counts) for Explain, plus the
-  /// generation (version/epoch) and the vertex balance.
+  /// vertex balance.
   std::string Describe() const;
 
  private:
@@ -169,16 +147,9 @@ class PartitionedGraph {
     PartitionStats stats;
   };
 
-  /// Process-unique nonzero ids for rebalanced generations (monotonic
-  /// counter, never reused — the same contract as
-  /// PropertyGraph::NextInstanceId).
-  static uint64_t NextRebalanceEpoch();
-
   const PropertyGraph* base_;
   PartitionPolicy policy_;
   std::string partitioner_name_;
-  uint64_t epoch_ = 0;
-  int version_ = 1;
   std::vector<Partition> parts_;
   std::vector<int32_t> owner_of_;         ///< |V| ownership map
   std::vector<uint32_t> local_index_of_;  ///< |V| local positions

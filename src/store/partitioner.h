@@ -118,31 +118,6 @@ class EdgeCutPartitioner : public GraphPartitioner {
   size_t moves_ = 0;
 };
 
-/// Explicit policy: wraps a precomputed ownership vector — the rebalancer's
-/// way of constructing a PartitionedGraph from a migrated map
-/// (src/store/rebalancer.h). Reports the policy of the store it was derived
-/// from; `label` names the generation (e.g. "rebalanced(edgecut(4),v2)").
-class ExplicitPartitioner : public GraphPartitioner {
- public:
-  ExplicitPartitioner(int partitions, PartitionPolicy derived_from,
-                      std::string label, std::vector<int32_t> ownership)
-      : GraphPartitioner(partitions),
-        derived_from_(derived_from),
-        label_(std::move(label)),
-        owner_(std::move(ownership)) {}
-
-  std::string Name() const override { return label_; }
-  PartitionPolicy policy() const override { return derived_from_; }
-  int OwnerOf(VertexId v) const override {
-    return owner_[static_cast<size_t>(v)];
-  }
-
- private:
-  PartitionPolicy derived_from_;
-  std::string label_;
-  std::vector<int32_t> owner_;
-};
-
 /// Range policy: partition p owns the contiguous id range
 /// [p*n/P, (p+1)*n/P). Preserves id locality (neighbors created together
 /// stay together under loaders that emit communities contiguously) and

@@ -634,7 +634,6 @@ TEST_F(PartitionTest, OutcomeCarriesBalanceMetrics) {
   EXPECT_GE(out.stats.store_vertex_balance, 1.0);
   std::string explain = eng->Explain(prep);
   EXPECT_NE(explain.find("vertex balance"), std::string::npos);
-  EXPECT_NE(explain.find("epoch"), std::string::npos);
   std::string exec_explain = eng->Explain(prep, out);
   EXPECT_NE(exec_explain.find("vertex balance"), std::string::npos);
   EXPECT_NE(exec_explain.find("rows balance"), std::string::npos);

@@ -298,6 +298,11 @@ TEST_F(ResultCacheTest, ConcurrentStressWithEpochBump) {
   auto handle = std::make_shared<ResultCache>(48 << 10);
   auto a = MakeEngine(1, 0, FactorizationMode::kOff, 0, handle);
   auto b = MakeEngine(1, 0, FactorizationMode::kOff, 0, handle);
+  // A partitioned engine on the same handle: its plan keys differ (the
+  // partition count is fingerprinted), so it populates and evicts its own
+  // entries while the unpartitioned engines race theirs.
+  auto c = MakeEngine(1, /*partitions=*/2, FactorizationMode::kOff, 0, handle);
+  GOptEngine* engines[] = {a.get(), b.get(), c.get()};
 
   // Precompute references (uncached) for every query variant.
   std::vector<std::string> variants;
@@ -314,12 +319,12 @@ TEST_F(ResultCacheTest, ConcurrentStressWithEpochBump) {
   }
 
   std::atomic<bool> failed{false};
-  const int kThreads = 4;
+  const int kThreads = 6;
   const int kIters = 48;
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t]() {
-      GOptEngine* e = (t % 2 == 0) ? a.get() : b.get();
+      GOptEngine* e = engines[t % 3];
       for (int i = 0; i < kIters && !failed.load(); ++i) {
         const size_t v = (t * 7 + i) % variants.size();
         ExecOutcome out = e->Run(variants[v]);
@@ -336,6 +341,7 @@ TEST_F(ResultCacheTest, ConcurrentStressWithEpochBump) {
   std::thread bumper([&]() {
     for (int i = 0; i < 6; ++i) {
       a->SetGlogue(i % 2 == 0 ? *glogue2_ : *glogue_);
+      c->SetGlogue(i % 2 == 0 ? *glogue2_ : *glogue_);
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
   });
